@@ -1,22 +1,22 @@
 """Interval hot-path benchmark: the control loop's per-interval cost.
 
 Replays ten diurnal intervals on the 100-site TWAN topology with the
-default synthetic trace through five solver configurations — the batched
-second stage (triage + the contended FastSSP array kernel), the same
-triage with the per-pair scalar FastSSP pinned (``ssp_backend="scalar"``),
-the reference serial path, and the incremental engine at delta
-thresholds 0.0 (bit-exact) and 1.5 (fast path live) — and records the
-per-phase timing breakdown
+default synthetic trace through three solver configurations — the cold
+solver (triage + the contended FastSSP array kernel) and the incremental
+engine at delta thresholds 0.0 (bit-exact) and 1.5 (fast path live) —
+and records the per-phase timing breakdown
 (``TEResult.stats["phase_s"]``) to ``BENCH_interval_solve.json`` at the
 repo root.  The artifact keeps the latest snapshot under the mode keys
 *and* appends a timestamped record (git sha, LP backend, config,
 per-mode summary) to its ``history`` list, so the perf trajectory across
 PRs is preserved rather than overwritten.
 
-The equivalence contracts are asserted here too: batched and serial must
-produce bit-identical flow assignments over the whole replay (SHA-256
-digest of every interval's assignment arrays), and so must the
-incremental engine at threshold 0.0; at threshold 1.5 the engine must
+The equivalence contracts are asserted here too: every batched-kernel
+fill of the cold replay is re-run through the scalar per-pair reference
+(:func:`repro.core.pairfill.fill_pair`) and must agree bit for bit, and
+the incremental engine at threshold 0.0 must reproduce the cold replay's
+assignment digest (SHA-256 of every interval's assignment arrays); at
+threshold 1.5 the engine must
 beat the batched baseline's stage1+stage2 time by >= 1.3x with both
 reuse mechanisms observably firing.  A highspy leg is reported when the
 optional wheel is installed.
@@ -47,7 +47,7 @@ from repro.experiments.common import build_scenario
 from repro.simulation import compute_flow_latencies, simulate
 from repro.traffic import DiurnalSequence
 
-from conftest import run_once
+from conftest import record_kernel_fills, run_once, time_scalar_fill
 
 pytestmark = pytest.mark.perf
 
@@ -113,7 +113,7 @@ def _time_realization() -> dict[str, float]:
     sequence = DiurnalSequence(
         base=scenario.demands, seed=cfg["sequence_seed"]
     )
-    optimizer = MegaTEOptimizer(second_stage="batched")
+    optimizer = MegaTEOptimizer()
     results = [
         optimizer.solve(scenario.topology, sequence.matrix(i))
         for i in range(cfg["num_intervals"])
@@ -159,40 +159,20 @@ def _time_realization() -> dict[str, float]:
     }
 
 
-def test_interval_solve_breakdown(benchmark):
+def test_interval_solve_breakdown(benchmark, monkeypatch):
+    # Every batched-kernel fill of the benchmarked replay is logged and
+    # re-filled by the scalar per-pair reference: bit-identical results,
+    # and the two fill times on the same inputs for the record.
+    calls = record_kernel_fills(monkeypatch)
     batched = run_once(
         benchmark,
         run_interval_replay,
-        optimizer=MegaTEOptimizer(second_stage="batched"),
+        optimizer=MegaTEOptimizer(),
         **REPLAY_CONFIG,
     )
-    serial = run_interval_replay(
-        optimizer=MegaTEOptimizer(second_stage="serial"), **REPLAY_CONFIG
-    )
-
-    # The batched second stage is a pure hot-path optimization: identical
-    # allocations, bit for bit, across the whole replay.
-    assert batched.assignment_digest == serial.assignment_digest
-
-    # Scalar-fill leg: batched triage with the per-pair FastSSP pinned,
-    # the reference the array kernel's timings are compared against.
-    # Same digest contract; the default leg must have run the kernel.
-    scalar_fill = run_interval_replay(
-        optimizer=MegaTEOptimizer(
-            second_stage="batched", ssp_backend="scalar"
-        ),
-        **REPLAY_CONFIG,
-    )
-    assert scalar_fill.assignment_digest == batched.assignment_digest
-    assert scalar_fill.ssp_backend == "scalar"
-    assert batched.ssp_backend != "scalar"
+    monkeypatch.undo()
     assert batched.ssp_batch_phase_s
-
-    # Process-sharded second stage: same contract.  At this load the
-    # contended residue is small, so most intervals stay under the
-    # shard cutoff — the digest must match either way.
-    sharded = run_interval_replay(shard_workers=2, **REPLAY_CONFIG)
-    assert sharded.assignment_digest == batched.assignment_digest
+    kernel_fill_s, scalar_fill_s = time_scalar_fill(calls)
 
     # Incremental engine, threshold 0.0: reuse restricted to bit-identical
     # inputs, so the whole replay must reproduce the cold digest exactly.
@@ -213,7 +193,6 @@ def test_interval_solve_breakdown(benchmark):
     )
 
     solver_s = batched.stage1_lp_s + batched.stage2_ssp_s
-    serial_solver_s = serial.stage1_lp_s + serial.stage2_ssp_s
     inc_solver_s = incremental.stage1_lp_s + incremental.stage2_ssp_s
     assert incremental.lp_solves_skipped > 0
     assert incremental.ssp_state_reused > 0
@@ -236,23 +215,19 @@ def test_interval_solve_breakdown(benchmark):
         f"({batched.num_flows:,} flows/interval)"
     )
     print(
-        f"  batched ({batched.ssp_backend} kernel): "
+        f"  batched: "
         f"stage1 {batched.stage1_lp_s:.3f}s + "
         f"stage2 {batched.stage2_ssp_s:.3f}s = {solver_s:.3f}s "
         f"({batched.num_uncontended_pairs} uncontended / "
         f"{batched.num_contended_pairs} contended pair solves)"
     )
     print(
-        f"  scalar fill: contended_ssp "
-        f"{scalar_fill.phase_s['contended_ssp'] * 1e3:.1f} ms vs batched "
-        f"{batched.phase_s['contended_ssp'] * 1e3:.1f} ms"
+        f"  contended fill on the same inputs: kernel "
+        f"{kernel_fill_s * 1e3:.1f} ms vs scalar reference "
+        f"{scalar_fill_s * 1e3:.1f} ms"
     )
     for phase, seconds in batched.ssp_batch_phase_s.items():
         print(f"  kernel {phase:<16s} {seconds * 1e3:8.1f} ms")
-    print(
-        f"  serial:  stage1 {serial.stage1_lp_s:.3f}s + "
-        f"stage2 {serial.stage2_ssp_s:.3f}s = {serial_solver_s:.3f}s"
-    )
     print(
         f"  incremental (threshold {INCREMENTAL_THRESHOLD}): "
         f"stage1 {incremental.stage1_lp_s:.3f}s + "
@@ -292,21 +267,20 @@ def test_interval_solve_breakdown(benchmark):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "git_sha": _git_sha(),
         "backend": batched.backend,
-        # Top-level (not in config) so same-name records stay
-        # byte-comparable across the kernel migration; baseline
-        # selection filters on it (bench_history.ssp_backend_of).
-        "ssp_backend": batched.ssp_backend,
+        # Top-level (not in config); baseline selection filters on it
+        # (bench_history.ssp_backend_of).  The numpy array kernel is the
+        # only second-stage fill.
+        "ssp_backend": "numpy",
         "config_name": "twan-20k",
         "config": {
             **REPLAY_CONFIG,
             "incremental_threshold": INCREMENTAL_THRESHOLD,
         },
         "batched": batched.as_dict(),
-        "serial": serial.as_dict(),
-        "scalar_fill": scalar_fill.as_dict(),
         "incremental": incremental.as_dict(),
         "incremental_exact": inc_exact.as_dict(),
-        "sharded": sharded.as_dict(),
+        "kernel_fill_s": kernel_fill_s,
+        "scalar_reference_fill_s": scalar_fill_s,
         "highspy": None if highspy is None else highspy.as_dict(),
         "incremental_speedup_vs_batched": solver_s / inc_solver_s,
         "realization_s": realization,
@@ -318,11 +292,7 @@ def test_interval_solve_breakdown(benchmark):
     payload = {
         "config": REPLAY_CONFIG,
         "batched": batched.as_dict(),
-        "serial": serial.as_dict(),
         "incremental": incremental.as_dict(),
-        "batched_over_serial_solver_time": (
-            solver_s / serial_solver_s if serial_solver_s > 0 else None
-        ),
         "incremental_speedup_vs_batched": solver_s / inc_solver_s,
         "realization_s": realization,
         "realization_baseline_pre_columnar_s": PRE_COLUMNAR_BASELINE_S,
@@ -333,7 +303,6 @@ def test_interval_solve_breakdown(benchmark):
 
     benchmark.extra_info["stage1_lp_s"] = batched.stage1_lp_s
     benchmark.extra_info["stage2_ssp_s"] = batched.stage2_ssp_s
-    benchmark.extra_info["ssp_backend"] = batched.ssp_backend
     benchmark.extra_info["phase_s"] = dict(batched.phase_s)
     benchmark.extra_info["assignment_digest"] = batched.assignment_digest
     benchmark.extra_info["incremental_speedup"] = solver_s / inc_solver_s

@@ -8,16 +8,7 @@ from .batch import (
 )
 from .exact import ExactSolution, solve_max_all_flow
 from .fastssp import FastSSPResult, fast_ssp
-from .fastssp_batch import (
-    SSP_BACKEND_ENV,
-    SSP_BACKEND_NAMES,
-    BatchedSSPResult,
-    cupy_available,
-    fast_ssp_batch,
-    fill_pairs_batch,
-    resolve_ssp_backend_name,
-    torch_available,
-)
+from .fastssp_batch import BatchedSSPResult, fast_ssp_batch, fill_pairs_batch
 from .flowtable import FlowTable, PairViews, csr_offsets, pair_views
 from .formulation import MaxAllFlowProblem
 from .incremental import IncrementalConfig, IncrementalState
@@ -26,15 +17,8 @@ from .lp_backend import (
     highspy_available,
     resolve_backend_name,
 )
-from .pairfill import fill_pair, fill_pair_warm_or_cold, fill_pairs
-from .parallel import WORKERS_ENV, parallel_map, resolve_workers
+from .pairfill import fill_pair, fill_pairs
 from .qos import PRIORITY_ORDER, QoSClass
-from .sharded import (
-    SHARD_WORKERS_ENV,
-    ShardContext,
-    ShardedConfig,
-    plan_shards,
-)
 from .siteflow import SiteFlowSolver, solve_max_site_flow
 from .ssp import (
     SSPSolution,
@@ -68,7 +52,6 @@ __all__ = [
     "solve_max_site_flow",
     "solve_max_all_flow",
     "ExactSolution",
-    "parallel_map",
     "TEResult",
     "FlowAssignment",
     "SiteAllocation",
@@ -84,23 +67,11 @@ __all__ = [
     "csr_offsets",
     "pair_views",
     "SiteFlowSolver",
-    "resolve_workers",
-    "WORKERS_ENV",
     "fill_pair",
-    "fill_pair_warm_or_cold",
     "fill_pairs",
-    "SSP_BACKEND_ENV",
-    "SSP_BACKEND_NAMES",
     "BatchedSSPResult",
     "fast_ssp_batch",
     "fill_pairs_batch",
-    "resolve_ssp_backend_name",
-    "torch_available",
-    "cupy_available",
-    "SHARD_WORKERS_ENV",
-    "ShardContext",
-    "ShardedConfig",
-    "plan_shards",
     "IncrementalConfig",
     "IncrementalState",
     "BACKEND_ENV_VAR",

@@ -11,9 +11,9 @@ the full four-step FastSSP.
 
 :func:`triage_ssp_batch` exposes the vectorized triage on its own so the
 two-stage optimizer can resolve uncontended site pairs in bulk and route
-*only* the contended residue into per-pair FastSSP (optionally under a
-thread pool).  :func:`solve_ssp_batch` composes triage with per-instance
-FastSSP for a complete drop-in batch solve.
+*only* the contended residue into the array-batched FastSSP kernel
+(:mod:`repro.core.fastssp_batch`).  :func:`solve_ssp_batch` composes
+triage with that kernel for a complete drop-in batch solve.
 
 Results are identical to calling :func:`repro.core.fastssp.fast_ssp` per
 instance (property-tested), making the batch a drop-in accelerator.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fastssp import FastSSPResult, fast_ssp
+from .fastssp import FastSSPResult
 
 __all__ = [
     "BatchSSPInstance",
@@ -160,30 +160,25 @@ def triage_ssp_segments(
 
 def solve_ssp_batch(
     instances: list[BatchSSPInstance],
-    backend: str | None = None,
 ) -> list[FastSSPResult]:
     """Solve a batch of FastSSP instances.
 
     Fast paths are resolved vectorized across the batch via
     :func:`triage_ssp_batch`.  The contended residue runs through the
     array-batched kernel (:func:`repro.core.fastssp_batch.
-    fast_ssp_batch`, grouped by epsilon) unless ``backend`` resolves to
-    ``"scalar"``, which keeps the per-instance reference path.
+    fast_ssp_batch`, grouped by epsilon).
 
     Args:
         instances: The batch.
-        backend: SSP backend name (``None`` consults
-            ``REPRO_SSP_BACKEND``; see :func:`repro.core.fastssp_batch.
-            resolve_ssp_backend_name`).
 
     Returns:
         One :class:`FastSSPResult` per instance, in input order,
         identical to per-instance :func:`fast_ssp` calls.
     """
-    from .fastssp_batch import fast_ssp_batch, resolve_ssp_backend_name
+    from .fastssp_batch import fast_ssp_batch
 
     results, contended = triage_ssp_batch(instances)
-    if contended.size and resolve_ssp_backend_name(backend) != "scalar":
+    if contended.size:
         by_epsilon: dict[float, list[int]] = {}
         for idx in contended.tolist():
             by_epsilon.setdefault(float(instances[idx].epsilon), []).append(
@@ -205,19 +200,9 @@ def solve_ssp_batch(
             caps = np.asarray(
                 [instances[i].capacity for i in idxs], dtype=np.float64
             )
-            batched = fast_ssp_batch(
-                flat, offsets, caps, epsilon=epsilon, backend=backend
-            )
+            batched = fast_ssp_batch(flat, offsets, caps, epsilon=epsilon)
             for j, i in enumerate(idxs):
                 results[i] = batched.result(j)
-    else:
-        for idx in contended:
-            inst = instances[idx]
-            results[idx] = fast_ssp(
-                np.asarray(inst.values, dtype=np.float64),
-                inst.capacity,
-                epsilon=inst.epsilon,
-            )
     if any(r is None for r in results):  # pragma: no cover - defensive
         raise RuntimeError("batch left unsolved instances")
     return results  # type: ignore[return-value]

@@ -16,11 +16,9 @@ padded array program over the CSR columns of
   each row's sorted values finds the position where the running total
   crosses the threshold ``M = ε·F/3`` by bisection (trailing
   under-threshold clusters kept, as in the scalar path).
-* **DP** — quantized subset-sum with first-reacher choice tracking: the
-  per-row reference sweep on the host; on device backends the tables of
-  all pairs advance together as one ``(P, cap_buckets)`` boolean sweep
-  over the padded ``(P, m)`` cluster matrix with a vectorized backward
-  reconstruction.
+* **DP** — quantized subset-sum with first-reacher choice tracking, one
+  integer sweep per row (the scalar DP itself, so bit-identical by
+  construction).
 * **Greedy** — first-fit-decreasing over each pair's residual demands.
 
 Bit-identity contract
@@ -46,26 +44,16 @@ rules the naive vectorization would break:
    original column order, matching the scalar ``argsort(-vals[eligible],
    kind="stable")`` per pair.
 
-Backends
---------
-Selection follows :mod:`repro.core.lp_backend`'s pattern — explicit
-argument > ``REPRO_SSP_BACKEND`` env var > ``numpy`` — via
-:func:`resolve_ssp_backend_name`.  ``"scalar"`` routes dispatch layers
-back to the per-pair reference path; ``"torch"`` / ``"cupy"`` offload
-the integer DP sweep and the elementwise greedy column scan (integer,
-boolean, and single elementwise float64 ops are bit-exact on any IEEE
-device), auto-falling back to numpy with a ``RuntimeWarning`` when the
-wheel or device is absent.  ``"auto"`` picks torch > cupy > numpy
-silently.  Floating-point *reductions* (sums, cumsum, sort keys) stay
-on the host numpy path on every backend — reduction order is the one
-thing an accelerator is free to change, so it is never delegated.
+This kernel is the only production second-stage fill: the contended
+step of :class:`~repro.core.twostage.MegaTEOptimizer` reaches it through
+:func:`repro.core.pairfill.fill_pairs`.  The scalar
+:func:`~repro.core.fastssp.fast_ssp` and
+:func:`~repro.core.pairfill.fill_pair` remain as the reference the tests
+compare it against.
 """
 
 from __future__ import annotations
 
-import importlib
-import os
-import warnings
 from bisect import bisect_left
 
 import numpy as np
@@ -77,24 +65,11 @@ from .ssp import dp_ssp
 from .types import UNASSIGNED
 
 __all__ = [
-    "SSP_BACKEND_ENV",
-    "SSP_BACKEND_NAMES",
     "SSP_PHASE_KEYS",
     "BatchedSSPResult",
-    "cupy_available",
     "fast_ssp_batch",
     "fill_pairs_batch",
-    "resolve_ssp_backend_name",
-    "torch_available",
 ]
-
-#: Environment variable consulted when no backend is passed explicitly
-#: (same precedence pattern as ``REPRO_LP_BACKEND``).
-SSP_BACKEND_ENV = "REPRO_SSP_BACKEND"
-
-#: Valid backend spellings.  ``"scalar"`` means "do not batch at all" —
-#: dispatch layers route it to the per-pair reference path.
-SSP_BACKEND_NAMES = ("scalar", "numpy", "torch", "cupy", "auto")
 
 #: Keys of the batched kernel's phase-timing breakdown.
 SSP_PHASE_KEYS = (
@@ -108,134 +83,31 @@ SSP_PHASE_KEYS = (
 )
 
 
-def torch_available() -> bool:
-    """True when the optional ``torch`` wheel imports."""
-    try:
-        importlib.import_module("torch")
-    except ImportError:
-        return False
-    return True
-
-
-def cupy_available() -> bool:
-    """True when ``cupy`` imports *and* a CUDA device answers."""
-    try:
-        cupy = importlib.import_module("cupy")
-    except ImportError:
-        return False
-    try:
-        return int(cupy.cuda.runtime.getDeviceCount()) > 0
-    except Exception:
-        return False
-
-
-def resolve_ssp_backend_name(requested: str | None = None) -> str:
-    """Resolve the effective SSP backend name.
-
-    Precedence: explicit argument > ``REPRO_SSP_BACKEND`` env var >
-    ``"numpy"``.  ``"auto"`` degrades silently (torch > cupy > numpy);
-    an explicit ``"torch"``/``"cupy"`` whose wheel or device is absent
-    falls back to numpy with a :class:`RuntimeWarning` — never an
-    exception, mirroring the LP backend's contract.
-    """
-    name = requested if requested is not None else (
-        os.environ.get(SSP_BACKEND_ENV) or None
-    )
-    name = (name or "numpy").strip().lower()
-    if name not in SSP_BACKEND_NAMES:
-        raise ValueError(
-            f"unknown SSP backend {name!r}; "
-            f"expected one of {SSP_BACKEND_NAMES}"
-        )
-    if name in ("scalar", "numpy"):
-        return name
-    if name == "auto":
-        if torch_available():
-            return "torch"
-        if cupy_available():
-            return "cupy"
-        return "numpy"
-    available = torch_available() if name == "torch" else cupy_available()
-    if not available:
-        warnings.warn(
-            f"SSP backend {name!r} is unavailable (wheel or device "
-            "missing); falling back to numpy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "numpy"
-    return name
-
-
 # ---------------------------------------------------------------------------
-# Backend kernels.  Only the integer DP sweep and the elementwise greedy
-# scan are delegated — both are bit-exact on any IEEE backend.
+# Per-row kernels of the DP and greedy steps.
 
 
-def _dp_sweep_array(xp, normalized, qcap):
-    """Batched first-reacher subset-sum DP (generic numpy/cupy body).
+def _dp_select(normalized, qcap):
+    """Per-row first-reacher DP: selected-cluster mask per pair.
 
-    One boolean ``(P, C)`` reachability table advances over the padded
-    ``(P, m)`` quantized-cluster matrix; ``choice[p, s]`` records the
-    first cluster that reached sum ``s`` for pair ``p`` (-1 unreachable,
-    -2 the empty sum) — the exact semantics of the scalar
-    :func:`repro.core.ssp.dp_ssp`.  Padding clusters are 0 and skipped
-    by the same ``v == 0`` rule the scalar path uses.
+    Contended batches are small while cluster counts can reach
+    thousands, so the row-by-row :func:`repro.core.ssp.dp_ssp` (integer,
+    bit-identical by construction — it *is* the scalar DP) beats a
+    padded ``(P, cap_buckets)`` array sweep, which pays a gather per
+    cluster.  Padding clusters are 0 and skipped by the sweep's own
+    ``v == 0`` rule.
     """
     P, m = normalized.shape
-    C = int(qcap.max()) + 1 if qcap.size else 1
-    norm = xp.asarray(normalized)
-    qc = xp.asarray(qcap)
-    reachable = xp.zeros((P, C), dtype=bool)
-    choice = xp.full((P, C), -1, dtype=xp.int64)
-    if P == 0:
-        return reachable, choice
-    reachable[:, 0] = True
-    choice[:, 0] = -2
-    cols = xp.arange(C, dtype=xp.int64)[None, :]
-    col_ok = cols <= qc[:, None]
-    for i in range(m):
-        v = norm[:, i]
-        active = (v != 0) & (v <= qc)
-        if not bool(active.any()):
-            continue
-        idx = cols - v[:, None]
-        valid = (idx >= 0) & active[:, None] & col_ok
-        shifted = xp.take_along_axis(
-            reachable, xp.maximum(idx, 0), axis=1
-        ) & valid
-        newly = shifted & ~reachable
-        choice[newly] = i
-        reachable |= shifted
-    return reachable, choice
-
-
-def _dp_select(reachable, choice, normalized):
-    """Vectorized backward walk: selected-cluster mask per pair.
-
-    ``best`` is each pair's largest reachable quantized sum; the walk
-    follows first-reacher choices downward — because ``choice[s]``
-    records the cluster that *first* made ``s`` reachable, the walk
-    visits strictly decreasing cluster indices and terminates within
-    ``m`` steps with distinct clusters (same argument as the scalar
-    reconstruction).
-    """
-    P, C = reachable.shape
-    m = normalized.shape[1]
     sel = np.zeros((P, m), dtype=bool)
-    if P == 0 or m == 0:
+    if m == 0:
         return sel
-    best = (C - 1) - np.argmax(reachable[:, ::-1], axis=1)
-    s = best.astype(np.int64)
-    rows = np.arange(P)
-    for _ in range(m):
-        act = s > 0
-        if not act.any():
-            break
-        i = np.where(act, choice[rows, np.maximum(s, 0)], 0)
-        i_safe = np.maximum(i, 0)
-        sel[rows[act], i_safe[act]] = True
-        s = np.where(act, s - normalized[rows, i_safe], s)
+    for p in range(P):
+        cap = int(qcap[p])
+        if cap <= 0:
+            continue
+        dp = dp_ssp(normalized[p], cap)
+        if dp.selected:
+            sel[p, np.asarray(dp.selected, dtype=np.int64)] = True
     return sel
 
 
@@ -268,236 +140,24 @@ def _greedy_row(row: np.ndarray, remaining: float) -> tuple[list, float]:
     return chosen, total
 
 
-def _dp_select_from_sweep(kernels, normalized, qcap):
-    """Selected-cluster mask via a kernel's array sweep + backward walk."""
-    reachable, choice = kernels.dp_sweep(normalized, qcap)
-    return _dp_select(reachable, choice, normalized)
+def _greedy_scan(svals, resid_mask, remaining0, gate):
+    """Per-row exact FFD over residual positions of the sorted rows.
 
-
-class _NumpyKernels:
-    """Host reference kernels (full bit-identical implementation)."""
-
-    name = "numpy"
-
-    @staticmethod
-    def dp_sweep(normalized, qcap):
-        return _dp_sweep_array(np, normalized, qcap)
-
-    @staticmethod
-    def dp_select(normalized, qcap):
-        """Per-row first-reacher DP via the scalar reference sweep.
-
-        Contended batches are small while cluster counts can reach
-        thousands, so on the host the row-by-row
-        :func:`repro.core.ssp.dp_ssp` (integer, bit-identical by
-        construction — it *is* the scalar DP) beats the padded array
-        sweep, which pays a ``(P, C)`` gather per cluster.  Padding
-        clusters are 0 and skipped by the sweep's own ``v == 0`` rule.
-        """
-        P, m = normalized.shape
-        sel = np.zeros((P, m), dtype=bool)
-        if m == 0:
-            return sel
-        for p in range(P):
-            cap = int(qcap[p])
-            if cap <= 0:
-                continue
-            dp = dp_ssp(normalized[p], cap)
-            if dp.selected:
-                sel[p, np.asarray(dp.selected, dtype=np.int64)] = True
-        return sel
-
-    @staticmethod
-    def greedy_scan(svals, resid_mask, remaining0, gate):
-        """Per-row exact FFD over residual positions of the sorted rows.
-
-        Returns ``(fits, totals)``: a boolean mask over *sorted*
-        positions and the per-pair greedy volume.
-        """
-        P, L = svals.shape
-        fits = np.zeros((P, L), dtype=bool)
-        totals = np.zeros(P, dtype=np.float64)
-        for p in np.flatnonzero(gate):
-            pos = np.flatnonzero(resid_mask[p])
-            if pos.size == 0:
-                continue
-            chosen, total = _greedy_row(
-                svals[p, pos], float(remaining0[p])
-            )
-            if chosen:
-                fits[p, pos[np.asarray(chosen, dtype=np.int64)]] = True
-            totals[p] = total
-        return fits, totals
-
-
-def _pack_residuals(svals, resid_mask):
-    """Left-align each row's residual positions (order preserved).
-
-    Returns ``(packed_vals, pack_order, lens)`` where ``packed_vals[p,
-    :lens[p]]`` are pair ``p``'s residual values in scan order and
-    ``pack_order`` maps packed columns back to sorted positions.
+    Returns ``(fits, totals)``: a boolean mask over *sorted* positions
+    and the per-pair greedy volume.
     """
-    lens = resid_mask.sum(axis=1).astype(np.int64)
-    W = int(lens.max()) if lens.size else 0
-    pack_order = np.argsort(~resid_mask, axis=1, kind="stable")[:, :W]
-    packed = np.take_along_axis(svals, pack_order, axis=1)
-    return packed, pack_order, lens
-
-
-def _greedy_columns_device(xp, to_host, packed, lens, remaining0, gate):
-    """Column-sequential FFD sweep (device body, numpy-like ``xp``).
-
-    Elementwise float64 subtract/compare per column — bit-exact on any
-    IEEE device.  Rows go inactive once their remaining capacity drops
-    strictly below their smallest scanned value (nothing later fits).
-    """
-    P, W = packed.shape
-    v2 = xp.asarray(packed)
-    lens_d = xp.asarray(lens)
-    remaining = xp.array(np.asarray(remaining0, dtype=np.float64))
-    total = xp.zeros(P, dtype=xp.float64)
-    alive = xp.array(np.asarray(gate, dtype=bool))
-    rows_min = np.where(
-        lens > 0,
-        packed[np.arange(P), np.maximum(lens - 1, 0)],
-        np.inf,
-    )
-    floor = xp.asarray(rows_min)
-    fits = xp.zeros((P, W), dtype=bool)
-    for j in range(W):
-        act = alive & (lens_d > j)
-        if not bool(act.any()):
-            break
-        v = v2[:, j]
-        f = act & (v <= remaining)
-        remaining = xp.where(f, remaining - v, remaining)
-        total = xp.where(f, total + v, total)
-        fits[:, j] = f
-        alive = alive & ~(remaining < floor)
-    return to_host(fits), to_host(total)
-
-
-class _CupyKernels:
-    """CUDA kernels via cupy (DP sweep + greedy column scan on device)."""
-
-    name = "cupy"
-
-    def __init__(self) -> None:
-        self.cp = importlib.import_module("cupy")
-
-    def dp_sweep(self, normalized, qcap):
-        reachable, choice = _dp_sweep_array(self.cp, normalized, qcap)
-        return self.cp.asnumpy(reachable), self.cp.asnumpy(choice)
-
-    def dp_select(self, normalized, qcap):
-        return _dp_select_from_sweep(self, normalized, qcap)
-
-    def greedy_scan(self, svals, resid_mask, remaining0, gate):
-        packed, pack_order, lens = _pack_residuals(svals, resid_mask)
-        P, L = svals.shape
-        fits_sorted = np.zeros((P, L), dtype=bool)
-        if packed.shape[1] == 0 or not gate.any():
-            return fits_sorted, np.zeros(P, dtype=np.float64)
-        fits_packed, totals = _greedy_columns_device(
-            self.cp, self.cp.asnumpy, packed, lens, remaining0, gate
-        )
-        np.put_along_axis(fits_sorted, pack_order, fits_packed, axis=1)
-        return fits_sorted, totals
-
-
-class _TorchKernels:
-    """Torch kernels (CPU or CUDA; float64 elementwise ops are IEEE)."""
-
-    name = "torch"
-
-    def __init__(self) -> None:
-        torch = importlib.import_module("torch")
-        self.torch = torch
-        self.device = "cuda" if torch.cuda.is_available() else "cpu"
-
-    def dp_sweep(self, normalized, qcap):
-        t = self.torch
-        P, m = normalized.shape
-        C = int(qcap.max()) + 1 if qcap.size else 1
-        dev = self.device
-        norm = t.as_tensor(normalized, device=dev)
-        qc = t.as_tensor(qcap, device=dev)
-        reachable = t.zeros((P, C), dtype=t.bool, device=dev)
-        choice = t.full((P, C), -1, dtype=t.int64, device=dev)
-        if P:
-            reachable[:, 0] = True
-            choice[:, 0] = -2
-            cols = t.arange(C, dtype=t.int64, device=dev)[None, :]
-            col_ok = cols <= qc[:, None]
-            for i in range(m):
-                v = norm[:, i]
-                active = (v != 0) & (v <= qc)
-                if not bool(active.any()):
-                    continue
-                idx = cols - v[:, None]
-                valid = (idx >= 0) & active[:, None] & col_ok
-                shifted = t.gather(reachable, 1, idx.clamp_min(0)) & valid
-                newly = shifted & ~reachable
-                choice[newly] = i
-                reachable |= shifted
-        return reachable.cpu().numpy(), choice.cpu().numpy()
-
-    def dp_select(self, normalized, qcap):
-        return _dp_select_from_sweep(self, normalized, qcap)
-
-    def greedy_scan(self, svals, resid_mask, remaining0, gate):
-        t = self.torch
-        packed, pack_order, lens = _pack_residuals(svals, resid_mask)
-        P, L = svals.shape
-        fits_sorted = np.zeros((P, L), dtype=bool)
-        if packed.shape[1] == 0 or not gate.any():
-            return fits_sorted, np.zeros(P, dtype=np.float64)
-        dev = self.device
-        W = packed.shape[1]
-        v2 = t.as_tensor(packed, device=dev)
-        lens_d = t.as_tensor(lens, device=dev)
-        remaining = t.as_tensor(
-            np.asarray(remaining0, dtype=np.float64).copy(), device=dev
-        )
-        total = t.zeros(P, dtype=t.float64, device=dev)
-        alive = t.as_tensor(np.asarray(gate, dtype=bool).copy(), device=dev)
-        rows_min = np.where(
-            lens > 0,
-            packed[np.arange(P), np.maximum(lens - 1, 0)],
-            np.inf,
-        )
-        floor = t.as_tensor(rows_min, device=dev)
-        fits = t.zeros((P, W), dtype=t.bool, device=dev)
-        for j in range(W):
-            act = alive & (lens_d > j)
-            if not bool(act.any()):
-                break
-            v = v2[:, j]
-            f = act & (v <= remaining)
-            remaining = t.where(f, remaining - v, remaining)
-            total = t.where(f, total + v, total)
-            fits[:, j] = f
-            alive = alive & ~(remaining < floor)
-        np.put_along_axis(
-            fits_sorted, pack_order, fits.cpu().numpy(), axis=1
-        )
-        return fits_sorted, total.cpu().numpy()
-
-
-_KERNEL_CACHE: dict[str, object] = {}
-
-
-def _get_kernels(backend: str):
-    kernels = _KERNEL_CACHE.get(backend)
-    if kernels is None:
-        if backend == "torch":
-            kernels = _TorchKernels()
-        elif backend == "cupy":
-            kernels = _CupyKernels()
-        else:
-            kernels = _NumpyKernels()
-        _KERNEL_CACHE[backend] = kernels
-    return kernels
+    P, L = svals.shape
+    fits = np.zeros((P, L), dtype=bool)
+    totals = np.zeros(P, dtype=np.float64)
+    for p in np.flatnonzero(gate):
+        pos = np.flatnonzero(resid_mask[p])
+        if pos.size == 0:
+            continue
+        chosen, total = _greedy_row(svals[p, pos], float(remaining0[p]))
+        if chosen:
+            fits[p, pos[np.asarray(chosen, dtype=np.int64)]] = True
+        totals[p] = total
+    return fits, totals
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +182,6 @@ class BatchedSSPResult:
         "dp_volumes",
         "greedy_volumes",
         "error_bounds",
-        "backend",
         "phase_s",
         "contended",
     )
@@ -537,7 +196,6 @@ class BatchedSSPResult:
         dp_volumes: np.ndarray,
         greedy_volumes: np.ndarray,
         error_bounds: np.ndarray,
-        backend: str,
         phase_s: dict[str, float],
         contended: np.ndarray | None = None,
     ) -> None:
@@ -549,7 +207,6 @@ class BatchedSSPResult:
         self.dp_volumes = dp_volumes
         self.greedy_volumes = greedy_volumes
         self.error_bounds = error_bounds
-        self.backend = backend
         self.phase_s = phase_s
         # Which instances went through the contended solve (vs the
         # fits-entirely / trivial fast paths) — callers batching across
@@ -699,7 +356,7 @@ def _cluster_rounds(svals, elig_len, threshold):
 
 
 def _solve_contended(
-    flat, starts, lens, caps, epsilon, kernels, phase_s, pre_orders=None
+    flat, starts, lens, caps, epsilon, phase_s, pre_orders=None
 ):
     """The padded four-step program over the contended instances.
 
@@ -777,11 +434,9 @@ def _solve_contended(
         ).astype(np.int64)
         qcap[dp_on] = np.floor(ratio[dp_on]).astype(np.int64)
 
-    # Step 3: quantized subset-sum DP — per-row reference sweep on the
-    # host, the batched array sweep + vectorized reconstruction on
-    # device backends.
+    # Step 3: quantized subset-sum DP, one reference sweep per row.
     t0 = monotonic()
-    sel_clusters = kernels.dp_select(normalized, qcap)
+    sel_clusters = _dp_select(normalized, qcap)
     phase_s["dp"] += monotonic() - t0
     t0 = monotonic()
 
@@ -822,7 +477,7 @@ def _solve_contended(
         (resid_cap > 0.0) | ((resid_cap == 0.0) & (min_resid <= 0.0))
     )
     resid_elig = (cols < elig_len[:, None]) & ~dp_mask
-    greedy_mask, greedy_totals = kernels.greedy_scan(
+    greedy_mask, greedy_totals = _greedy_scan(
         svals, resid_elig, resid_cap, gate
     )
     greedy_vol = np.where(gate, greedy_totals, 0.0)
@@ -861,7 +516,6 @@ def fast_ssp_batch(
     offsets: np.ndarray,
     capacities: np.ndarray,
     epsilon: float = 0.1,
-    backend: str | None = None,
     presorted: list[np.ndarray | None] | None = None,
 ) -> BatchedSSPResult:
     """Solve a batch of FastSSP instances as one padded array program.
@@ -873,8 +527,6 @@ def fast_ssp_batch(
         offsets: int64 CSR offsets, ``len == len(capacities) + 1``.
         capacities: Per-instance allocation ``F_{k,t}`` to fill.
         epsilon: FastSSP precision knob (shared by the batch).
-        backend: Backend name (see :func:`resolve_ssp_backend_name`);
-            ``None`` consults ``REPRO_SSP_BACKEND``.
         presorted: Optional per-instance sort hints — entry ``i`` is
             either ``None`` or a permutation of ``arange(lens[i])``
             ordering instance ``i``'s segment by ``(-value, position)``
@@ -902,12 +554,6 @@ def fast_ssp_batch(
         raise ValueError("demands must be non-negative")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    resolved = resolve_ssp_backend_name(backend)
-    if resolved == "scalar":
-        # The kernel itself is the batched path; "scalar" only has
-        # meaning for dispatch layers.  Run the host reference.
-        resolved = "numpy"
-    kernels = _get_kernels(resolved)
     phase_s = dict.fromkeys(SSP_PHASE_KEYS, 0.0)
 
     lens = offs[1:] - offs[:-1]
@@ -951,7 +597,6 @@ def fast_ssp_batch(
             lens[ks],
             caps[ks],
             epsilon,
-            kernels,
             phase_s,
             pre_orders=(
                 None
@@ -986,25 +631,20 @@ def fast_ssp_batch(
 
     registry = get_registry()
     if registry.enabled:
-        registry.counter(
+        instances = registry.counter(
             "megate_ssp_batch_instances_total",
             "SSP instances solved by the batched kernel, by triage",
-            labelnames=("backend", "kind"),
-        ).labels(backend=resolved, kind="contended").inc(int(ks.size))
-        registry.counter(
-            "megate_ssp_batch_instances_total",
-            "SSP instances solved by the batched kernel, by triage",
-            labelnames=("backend", "kind"),
-        ).labels(backend=resolved, kind="fast_path").inc(
-            int(B - ks.size)
+            labelnames=("kind",),
         )
+        instances.labels(kind="contended").inc(int(ks.size))
+        instances.labels(kind="fast_path").inc(int(B - ks.size))
         hist = registry.histogram(
             "megate_ssp_batch_phase_seconds",
             "Batched FastSSP kernel phase durations",
-            labelnames=("backend", "phase"),
+            labelnames=("phase",),
         )
         for name, seconds in phase_s.items():
-            hist.labels(backend=resolved, phase=name).observe(seconds)
+            hist.labels(phase=name).observe(seconds)
 
     return BatchedSSPResult(
         selected_flat=selected_flat,
@@ -1015,7 +655,6 @@ def fast_ssp_batch(
         dp_volumes=dp_volumes,
         greedy_volumes=greedy_volumes,
         error_bounds=error_bounds,
-        backend=resolved,
         phase_s=phase_s,
         contended=contended,
     )
@@ -1026,7 +665,6 @@ def fill_pairs_batch(
     pair_allocs: list[np.ndarray],
     pair_orders: list[np.ndarray],
     epsilon: float,
-    backend: str | None = None,
     phase_out: dict[str, float] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """MaxEndpointFlow for many site pairs, one kernel call per step.
@@ -1045,7 +683,6 @@ def fill_pairs_batch(
             ``fill_pair`` (demand volumes, per-tunnel allocation, fill
             order).
         epsilon: FastSSP precision knob.
-        backend: SSP backend name (``None`` consults the env var).
         phase_out: Optional dict accumulating the kernel's per-phase
             seconds (keys :data:`SSP_PHASE_KEYS`) across steps.
 
@@ -1054,9 +691,6 @@ def fill_pairs_batch(
         order.
     """
     num = len(pair_volumes)
-    resolved = resolve_ssp_backend_name(backend)
-    if resolved == "scalar":
-        resolved = "numpy"
     assigned = [
         np.full(v.size, UNASSIGNED, dtype=np.int32) for v in pair_volumes
     ]
@@ -1089,7 +723,7 @@ def fill_pairs_batch(
         default=0,
     )
     with get_tracer().span(
-        "te.phase.ssp_batch", backend=resolved, pairs=num
+        "te.phase.ssp_batch", pairs=num
     ) as span:
         instances_total = 0
         for step in range(max_steps):
@@ -1141,7 +775,6 @@ def fill_pairs_batch(
                 offs,
                 np.asarray(batch_caps, dtype=np.float64),
                 epsilon=epsilon,
-                backend=resolved,
                 presorted=batch_pre,
             )
             instances_total += len(batch_ps)
@@ -1173,8 +806,7 @@ def fill_pairs_batch(
         registry.counter(
             "megate_ssp_batch_pairs_total",
             "Site pairs filled through the batched FastSSP kernel",
-            labelnames=("backend",),
-        ).labels(backend=resolved).inc(num)
+        ).inc(num)
 
     for p in range(num):
         if not (pair_volumes[p].size and pair_allocs[p].size):

@@ -1,17 +1,13 @@
-"""The per-site-pair MaxEndpointFlow fill, shared by every dispatch path.
+"""The per-site-pair MaxEndpointFlow fill.
 
-One contended site pair's second-stage solve — walk the tunnels in fill
-order, pack endpoint flows into each tunnel's allocation via FastSSP,
-then reconcile leftovers — used to live as a private optimizer method.
-It is now a module-level function so the serial path, the thread-pool
-path, and the shared-memory shard workers (:mod:`repro.core.sharded`,
-which runs it in *other processes*) all execute byte-for-byte the same
-code; the sharded path's bit-identity contract rests on that.
-
-:func:`fill_pair_warm_or_cold` composes the cold fill with the carried
-cross-interval warm start (:func:`repro.core.incremental.warm_fill_pair`)
-behind one call, so the worker-side incremental fast path cannot drift
-from the in-process one.
+:func:`fill_pairs` is the production second-stage fill: carried warm
+starts per pair (:func:`repro.core.incremental.warm_fill_pair`), then one
+array-batched FastSSP kernel call
+(:func:`repro.core.fastssp_batch.fill_pairs_batch`) for the cold rest.
+:func:`fill_pair` is the scalar per-pair reference the kernel is
+property-tested against: walk the tunnels in fill order, pack endpoint
+flows into each tunnel's allocation via FastSSP, then reconcile
+leftovers.
 """
 
 from __future__ import annotations
@@ -19,10 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from .fastssp import fast_ssp
+from .fastssp_batch import fill_pairs_batch
 from .incremental import reconcile_leftovers, warm_fill_pair
 from .types import UNASSIGNED
 
-__all__ = ["fill_pair", "fill_pair_warm_or_cold", "fill_pairs"]
+__all__ = ["fill_pair", "fill_pairs"]
 
 
 def fill_pair(
@@ -73,47 +70,22 @@ def fill_pair(
     return assigned, placed
 
 
-def fill_pair_warm_or_cold(
-    volumes: np.ndarray,
-    alloc_k: np.ndarray,
-    fill_order: np.ndarray,
-    epsilon: float,
-    prev_assigned: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Warm-start one pair from its previous assignment, else solve cold.
-
-    Returns:
-        ``(assigned, placed_per_tunnel, warm)`` where ``warm`` records
-        whether the carried assignment was good enough to skip FastSSP
-        (the :func:`warm_fill_pair` precision gate).
-    """
-    if prev_assigned is not None:
-        warm = warm_fill_pair(
-            volumes, alloc_k, fill_order, prev_assigned, epsilon
-        )
-        if warm is not None:
-            return warm[0], warm[1], True
-    assigned, placed = fill_pair(volumes, alloc_k, fill_order, epsilon)
-    return assigned, placed, False
-
-
 def fill_pairs(
     pair_volumes: list[np.ndarray],
     pair_allocs: list[np.ndarray],
     pair_orders: list[np.ndarray],
     epsilon: float,
     prev_assigned: list[np.ndarray | None] | None = None,
-    ssp_backend: str | None = None,
     phase_out: dict[str, float] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, bool]]:
     """Fill many site pairs: warm starts per pair, cold fills batched.
 
-    The batched counterpart of :func:`fill_pair_warm_or_cold` — every
-    pair whose carried assignment passes the warm gate reuses it, and
-    the remaining cold pairs run through the array-batched FastSSP
-    kernel (:func:`repro.core.fastssp_batch.fill_pairs_batch`) as one
-    padded array program per fill-order step.  Used by the in-process
-    dispatch and the shard workers so neither can drift from the other.
+    Every pair whose carried assignment passes the warm gate
+    (:func:`repro.core.incremental.warm_fill_pair`) reuses it; the
+    remaining cold pairs run through the array-batched FastSSP kernel
+    (:func:`repro.core.fastssp_batch.fill_pairs_batch`) as one padded
+    array program per fill-order step, bit-identical to calling
+    :func:`fill_pair` on each.
 
     Args:
         pair_volumes / pair_allocs / pair_orders: Per-pair ``fill_pair``
@@ -121,16 +93,12 @@ def fill_pairs(
         epsilon: FastSSP precision knob.
         prev_assigned: Optional carried assignment per pair (``None``
             entries, or ``None`` overall, force a cold solve).
-        ssp_backend: Batched-kernel backend name (``"scalar"`` routes
-            cold pairs through the per-pair reference path).
         phase_out: Optional dict accumulating batched-kernel per-phase
             seconds.
 
     Returns:
         One ``(assigned, placed_per_tunnel, warm)`` tuple per pair.
     """
-    from .fastssp_batch import fill_pairs_batch, resolve_ssp_backend_name
-
     num = len(pair_volumes)
     out: list[tuple[np.ndarray, np.ndarray, bool] | None] = [None] * num
     cold: list[int] = []
@@ -149,24 +117,13 @@ def fill_pairs(
                 continue
         cold.append(p)
     if cold:
-        if resolve_ssp_backend_name(ssp_backend) == "scalar":
-            for p in cold:
-                assigned, placed = fill_pair(
-                    pair_volumes[p],
-                    pair_allocs[p],
-                    pair_orders[p],
-                    epsilon,
-                )
-                out[p] = (assigned, placed, False)
-        else:
-            filled = fill_pairs_batch(
-                [pair_volumes[p] for p in cold],
-                [pair_allocs[p] for p in cold],
-                [pair_orders[p] for p in cold],
-                epsilon=epsilon,
-                backend=ssp_backend,
-                phase_out=phase_out,
-            )
-            for j, p in enumerate(cold):
-                out[p] = (filled[j][0], filled[j][1], False)
+        filled = fill_pairs_batch(
+            [pair_volumes[p] for p in cold],
+            [pair_allocs[p] for p in cold],
+            [pair_orders[p] for p in cold],
+            epsilon=epsilon,
+            phase_out=phase_out,
+        )
+        for j, p in enumerate(cold):
+            out[p] = (filled[j][0], filled[j][1], False)
     return out  # type: ignore[return-value]

@@ -27,16 +27,18 @@ on CPU):
   bounds): a pair whose class demand fits entirely into its
   most-preferred positive allocation — the overwhelming majority in
   production — is resolved without touching FastSSP.  Only the contended
-  residue runs the full sequential tunnel fill, dispatched through
-  :func:`~repro.core.parallel.parallel_map` in chunks.
+  residue runs the full sequential tunnel fill, all of a class's
+  contended pairs at once through :func:`~repro.core.pairfill.fill_pairs`
+  (one array-batched FastSSP kernel call per fill-order step — the
+  paper's parallel per-pair SSPs as one array program).
 * Residual-capacity accounting applies the class's placed volumes
   through the precomputed link-tunnel incidence in one
   ``np.subtract.at`` call — entry order matches the per-tunnel
   bookkeeping it replaces, so the update is bit-identical.
 
-Both second-stage modes (``"batched"`` and the reference ``"serial"``)
-produce identical assignments; ``TEResult.stats["phase_s"]`` carries the
-per-phase timing breakdown.
+The batched fill is bit-identical to the scalar per-pair reference
+:func:`~repro.core.pairfill.fill_pair` (property-tested);
+``TEResult.stats["phase_s"]`` carries the per-phase timing breakdown.
 
 Incremental mode (``incremental=True``) additionally threads state
 across consecutive ``solve`` calls on the same topology and flow
@@ -48,8 +50,6 @@ contract (``delta_threshold=0.0`` is bit-exact with the cold path).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,14 +63,10 @@ from .incremental import (
     IncrementalConfig,
     IncrementalState,
     patch_class_allocation,
-    warm_fill_pair,
 )
-from .fastssp_batch import fill_pairs_batch, resolve_ssp_backend_name
 from .lp_backend import resolve_backend_name
-from .pairfill import fill_pair
-from .parallel import parallel_map
+from .pairfill import fill_pairs
 from .qos import PRIORITY_ORDER, QoSClass
-from .sharded import ShardContext, ShardedConfig
 from .siteflow import SiteFlowSolver
 from .types import (
     PHASE_KEYS,
@@ -85,15 +81,6 @@ if TYPE_CHECKING:  # imported lazily to avoid a core <-> traffic cycle
     from ..traffic.demand import DemandMatrix
 
 __all__ = ["MegaTEOptimizer", "PHASE_KEYS"]
-
-
-@dataclass
-class _PairOutcome:
-    """Second-stage result for one site pair within one QoS class."""
-
-    k: int
-    assigned_tunnel: np.ndarray  # over the class's flow indices, -1 = reject
-    placed_per_tunnel: np.ndarray  # volume placed per tunnel
 
 
 def _first_positive_columns(
@@ -140,8 +127,6 @@ class MegaTEOptimizer:
     Args:
         fastssp_epsilon: Precision knob ``ε'`` of FastSSP (App. A.2).
         objective_epsilon: The ``ε`` of objective (1); ``None`` auto-scales.
-        workers: Thread count for the parallel second stage; ``"auto"``
-            resolves to ``os.cpu_count()``, ``None``/0/1 run serially.
         qos_order: Priority order of QoS classes; defaults to the paper's
             class 1 → 2 → 3.
         class_tunnel_attribute: Tunnel attribute each class's allocation
@@ -151,10 +136,6 @@ class MegaTEOptimizer:
             §7's production policy: time-sensitive traffic takes the fast
             premium paths, bulk transfer is "accurately dispatched to the
             low-cost path".
-        second_stage: ``"batched"`` (default) triages uncontended site
-            pairs vectorized and runs FastSSP only on the contended
-            residue; ``"serial"`` is the reference per-pair path.  Both
-            produce identical assignments (property-tested).
         incremental: Carry solve state across consecutive
             :meth:`solve` calls on the same topology and flow
             population (the TE interval loop) — see
@@ -166,8 +147,7 @@ class MegaTEOptimizer:
             LP delta fast path (``0.0`` = bit-exact reuse only, so the
             incremental run reproduces the cold digests exactly).
         carry_ssp_state: Warm-start contended second-stage pairs from
-            the previous interval's assignment (batched mode, threshold
-            > 0 only).
+            the previous interval's assignment (threshold > 0 only).
         refresh_every: Force a cold re-solve every N intervals (0 =
             never) to re-optimize away accumulated patch drift.
         lp_backend: LP backend name forwarded to
@@ -175,29 +155,6 @@ class MegaTEOptimizer:
             ``"highspy"`` / ``"auto"``; ``None`` consults the
             ``REPRO_LP_BACKEND`` environment variable, default scipy).
             A missing or failing ``highspy`` degrades to scipy.
-        shard_workers: Process-parallel sharded second stage
-            (:mod:`repro.core.sharded`): worker-process count (int,
-            digit string, or ``"auto"``), a full
-            :class:`~repro.core.sharded.ShardedConfig`, or ``None`` to
-            consult ``REPRO_SHARD_WORKERS`` (same selection pattern as
-            ``lp_backend``; default serial).  ``0``/``1`` explicitly
-            force the in-process path.  Only the batched second stage
-            shards; the result is bit-identical to the in-process path
-            on every setting.  Sharding allocates a shared-memory arena
-            and a worker pool — call :meth:`close` (or use the
-            optimizer as a context manager) to release them.
-        ssp_backend: FastSSP kernel for the contended second stage
-            (:mod:`repro.core.fastssp_batch`): ``"numpy"`` (the default)
-            batches every cold contended pair of a fill-order step into
-            one padded array program, ``"torch"``/``"cupy"`` offload its
-            DP and greedy sweeps (auto-falling back to numpy with a
-            ``RuntimeWarning`` when the wheel or device is absent),
-            ``"auto"`` picks the best available, and ``"scalar"`` keeps
-            the per-pair reference path.  ``None`` consults
-            ``REPRO_SSP_BACKEND``.  Every backend is bit-identical
-            (property-tested); only the batched second stage dispatches
-            to the kernel — ``second_stage="serial"`` always runs the
-            scalar reference.
     """
 
     scheme_name = "MegaTE"
@@ -213,34 +170,24 @@ class MegaTEOptimizer:
         self,
         fastssp_epsilon: float = 0.1,
         objective_epsilon: float | None = None,
-        workers: int | str | None = None,
         qos_order: tuple[QoSClass, ...] = PRIORITY_ORDER,
         class_tunnel_attribute: dict[QoSClass, str] | None = None,
-        second_stage: str = "batched",
         incremental: bool | IncrementalConfig = False,
         delta_threshold: float = 0.0,
         carry_ssp_state: bool = True,
         refresh_every: int = 0,
         lp_backend: str | None = None,
-        shard_workers: int | str | ShardedConfig | None = None,
-        ssp_backend: str | None = None,
     ) -> None:
         if not 0 < fastssp_epsilon < 1:
             raise ValueError("fastssp_epsilon must be in (0, 1)")
-        if second_stage not in ("batched", "serial"):
-            raise ValueError(
-                "second_stage must be 'batched' or 'serial'"
-            )
         self.fastssp_epsilon = fastssp_epsilon
         self.objective_epsilon = objective_epsilon
-        self.workers = workers
         self.qos_order = qos_order
         self.class_tunnel_attribute = dict(
             self.DEFAULT_CLASS_ATTRIBUTE
             if class_tunnel_attribute is None
             else class_tunnel_attribute
         )
-        self.second_stage = second_stage
         if isinstance(incremental, IncrementalConfig):
             self.incremental: IncrementalConfig | None = incremental
         elif incremental:
@@ -252,54 +199,25 @@ class MegaTEOptimizer:
         else:
             self.incremental = None
         self.lp_backend = lp_backend
-        self.shard_workers = shard_workers
-        self.ssp_backend = ssp_backend
         self._state: IncrementalState | None = None
-        self._shard_ctx: ShardContext | None = None
-        self._shard_disabled = False
 
     def reset_incremental_state(self) -> None:
         """Drop carried cross-interval state (next solve runs cold)."""
         self._state = None
 
     def close(self) -> None:
-        """Release sharded-solve resources (worker pool, shared memory).
+        """No-op: the optimizer holds no external resources.
 
-        Idempotent; a no-op when the optimizer never sharded.  The
-        shared-memory arena is also unlinked by GC and interpreter-exit
-        hooks, but calling ``close()`` (or using the optimizer as a
-        context manager) releases it deterministically.
+        Kept, with the context-manager protocol, so callers written as
+        ``with MegaTEOptimizer(...) as opt:`` or ending in ``close()``
+        keep working.
         """
-        if self._shard_ctx is not None:
-            self._shard_ctx.close()
-            self._shard_ctx = None
 
     def __enter__(self) -> "MegaTEOptimizer":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _ensure_shard_context(
-        self, config: ShardedConfig, solver: SiteFlowSolver, table
-    ) -> ShardContext:
-        """Reuse the cached shard context or rebuild it for this interval."""
-        ctx = self._shard_ctx
-        if ctx is not None and (
-            ctx.config != config or not ctx.matches(solver, table)
-        ):
-            ctx.close()
-            ctx = None
-        if ctx is None:
-            attributes = tuple(
-                {
-                    self.class_tunnel_attribute.get(q, "weight")
-                    for q in self.qos_order
-                }
-            )
-            ctx = ShardContext(config, solver, table, attributes)
-        self._shard_ctx = ctx
-        return ctx
 
     def solve(
         self, topology: TwoLayerTopology, demands: DemandMatrix
@@ -422,22 +340,6 @@ class MegaTEOptimizer:
         num_contended = 0
         per_class_satisfied: dict[int, float] = {}
 
-        # Sharded second stage: resolve the worker spec per solve (so the
-        # env var is consulted like the LP backend's), then build or
-        # revalidate the shared-memory arena + worker pool and publish
-        # this interval's demand columns into it.
-        shard_config: ShardedConfig | None = None
-        shard_ctx: ShardContext | None = None
-        if self.second_stage == "batched" and not self._shard_disabled:
-            shard_config = ShardedConfig.resolve(self.shard_workers)
-        if shard_config is not None:
-            shard_ctx = self._ensure_shard_context(
-                shard_config, solver, table
-            )
-            shard_ctx.load_interval(table)
-        num_sharded = 0
-        shard_timings: list[dict] = []
-
         # Incremental mode: revalidate the carried state against this
         # interval's topology and flow population; a mismatch (or a
         # scheduled refresh) solves cold and re-seeds the state.
@@ -461,13 +363,6 @@ class MegaTEOptimizer:
         pairs_delta_patched = 0
         ssp_state_reused = 0
         backend_used: str | None = None
-        # SSP kernel backend, resolved per solve (env consulted like the
-        # LP backend's).  The serial reference stage never batches.
-        ssp_backend_used = (
-            resolve_ssp_backend_name(self.ssp_backend)
-            if self.second_stage == "batched"
-            else "scalar"
-        )
         ssp_batch_phase: dict[str, float] = {}
 
         for qos in self.qos_order:
@@ -557,217 +452,87 @@ class MegaTEOptimizer:
             placed_flat = np.zeros(solver.num_tunnel_vars)
             contrib: dict[int, float] = {}
 
-            if self.second_stage == "serial":
-                with tracer.span(
-                    "te.phase.contended_ssp", qos=qos.value
-                ) as sp:
-                    outcomes = parallel_map(
-                        lambda k: self._solve_pair(
-                            k,
-                            cls_vol[seg[k] : seg[k + 1]],
-                            site_alloc.per_pair[k],
-                            orders[k],
-                        ),
-                        list(range(num_pairs)),
-                        workers=self.workers,
-                    )
-                dt = sp.duration_s
-                stage2_s += dt
-                phase[StatKey.PHASE_CONTENDED_SSP] += dt
-                num_contended += len(outcomes)
-            else:
-                # Triage, columnar: a pair whose whole class demand fits
-                # its first positive-allocation tunnel needs no FastSSP.
-                # Candidates and the fits/contended split come straight
-                # from the CSR segment bounds — no per-instance objects.
-                with tracer.span(
-                    "te.phase.triage", qos=qos.value
-                ) as sp:
-                    first_cols = _first_positive_columns(
-                        alloc_flat, ordered_cols, offsets
-                    )
-                    candidates = np.flatnonzero(
-                        (seg[1:] > seg[:-1]) & (first_cols >= 0)
-                    )
-                    fits_pos, contended_pos = triage_ssp_segments(
-                        class_demands[candidates],
-                        alloc_flat[first_cols[candidates]],
-                    )
-                dt = sp.duration_s
-                stage2_s += dt
-                phase[StatKey.PHASE_TRIAGE] += dt
+            # Triage, columnar: a pair whose whole class demand fits its
+            # first positive-allocation tunnel needs no FastSSP.
+            # Candidates and the fits/contended split come straight from
+            # the CSR segment bounds — no per-instance objects.
+            with tracer.span("te.phase.triage", qos=qos.value) as sp:
+                first_cols = _first_positive_columns(
+                    alloc_flat, ordered_cols, offsets
+                )
+                candidates = np.flatnonzero(
+                    (seg[1:] > seg[:-1]) & (first_cols >= 0)
+                )
+                fits_pos, contended_pos = triage_ssp_segments(
+                    class_demands[candidates],
+                    alloc_flat[first_cols[candidates]],
+                )
+            dt = sp.duration_s
+            stage2_s += dt
+            phase[StatKey.PHASE_TRIAGE] += dt
 
-                # Uncontended pairs: everything rides the preferred
-                # tunnel; scatter the select-all results directly into
-                # the flat assignment / allocation vectors.
-                for k in candidates[fits_pos]:
-                    col = first_cols[k]
-                    t_local = int(col - offsets[k])
-                    total = class_demands[k]
-                    assigned_flat[cls_idx[seg[k] : seg[k + 1]]] = t_local
-                    combined_values[col] += total
-                    placed_flat[col] += total
-                    contrib[int(k)] = float(total)
-                    num_uncontended += 1
+            # Uncontended pairs: everything rides the preferred tunnel;
+            # scatter the select-all results directly into the flat
+            # assignment / allocation vectors.
+            for k in candidates[fits_pos]:
+                col = first_cols[k]
+                t_local = int(col - offsets[k])
+                total = class_demands[k]
+                assigned_flat[cls_idx[seg[k] : seg[k + 1]]] = t_local
+                combined_values[col] += total
+                placed_flat[col] += total
+                contrib[int(k)] = float(total)
+                num_uncontended += 1
 
-                with tracer.span(
-                    "te.phase.contended_ssp", qos=qos.value
-                ) as sp:
-                    contended_ks = [
-                        int(k) for k in candidates[contended_pos]
-                    ]
-                    # Carried second-stage state: re-validate each
-                    # contended pair's previous assignment against the
-                    # new volumes and allocation; pairs whose warm fill
-                    # lands within the FastSSP precision target skip the
-                    # cold solve.  Only sound when the class's flow
-                    # population is unchanged (the assignment indexes
-                    # flow positions) and disabled at threshold 0 to
-                    # keep the bit-exactness contract.
-                    warm_active = (
-                        state is not None
-                        and carried
-                        and population_same
-                        and inc.carry_ssp_state
-                        and inc.delta_threshold > 0.0
-                    )
-                    outcomes: list[_PairOutcome] | None = None
-                    if shard_ctx is not None and contended_ks:
-                        sharded = self._solve_contended_sharded(
-                            shard_ctx,
-                            qos,
-                            attribute,
-                            contended_ks,
-                            seg,
-                            cls_idx,
-                            offsets,
-                            alloc_flat,
-                            state if warm_active else None,
-                            ssp_backend=ssp_backend_used,
-                        )
-                        if sharded is not None:
-                            outcomes, shard_out = sharded
-                            num_sharded += len(shard_out.ks)
-                            ssp_state_reused += shard_out.warm_reused
-                            shard_timings.extend(shard_out.timings)
-                            if shard_out.failed_ks is not None:
-                                # Partial salvage: a worker died but
-                                # the other shards completed — re-solve
-                                # only the lost pairs in-process.
-                                rescued = parallel_map(
-                                    lambda k: self._solve_pair(
-                                        k,
-                                        cls_vol[seg[k] : seg[k + 1]],
-                                        site_alloc.per_pair[k],
-                                        orders[k],
-                                    ),
-                                    shard_out.failed_ks.tolist(),
-                                    workers=self.workers,
-                                )
-                                outcomes = list(outcomes) + list(
-                                    rescued
-                                )
-                        if shard_ctx is not None and shard_ctx.broken:
-                            # A worker died: tear the context down and
-                            # run the rest of this (and every later)
-                            # solve through the in-process path.
-                            self.close()
-                            self._shard_disabled = True
-                            shard_ctx = None
-                    if outcomes is None:
-                        warm_outcomes: list[_PairOutcome] = []
-                        if warm_active:
-                            cold_ks = []
-                            for k in contended_ks:
-                                prev = state.ssp_assigned.get(
-                                    (qos.value, k)
-                                )
-                                warm = (
-                                    warm_fill_pair(
-                                        cls_vol[seg[k] : seg[k + 1]],
-                                        site_alloc.per_pair[k],
-                                        orders[k],
-                                        prev,
-                                        self.fastssp_epsilon,
-                                    )
-                                    if prev is not None
-                                    else None
-                                )
-                                if warm is None:
-                                    cold_ks.append(k)
-                                else:
-                                    warm_outcomes.append(
-                                        _PairOutcome(
-                                            k=k,
-                                            assigned_tunnel=warm[0],
-                                            placed_per_tunnel=warm[1],
-                                        )
-                                    )
-                            contended_ks = cold_ks
-                        if (
-                            ssp_backend_used != "scalar"
-                            and contended_ks
-                        ):
-                            # All cold contended pairs of this class run
-                            # through the array-batched kernel: one
-                            # padded array program per fill-order step
-                            # instead of len(contended_ks) scalar solves
-                            # (bit-identical, property-tested).
-                            filled = fill_pairs_batch(
-                                [
-                                    cls_vol[seg[k] : seg[k + 1]]
-                                    for k in contended_ks
-                                ],
-                                [
-                                    site_alloc.per_pair[k]
-                                    for k in contended_ks
-                                ],
-                                [orders[k] for k in contended_ks],
-                                epsilon=self.fastssp_epsilon,
-                                backend=ssp_backend_used,
-                                phase_out=ssp_batch_phase,
-                            )
-                            outcomes = [
-                                _PairOutcome(
-                                    k=k,
-                                    assigned_tunnel=filled[j][0],
-                                    placed_per_tunnel=filled[j][1],
-                                )
-                                for j, k in enumerate(contended_ks)
-                            ]
-                        else:
-                            outcomes = parallel_map(
-                                lambda k: self._solve_pair(
-                                    k,
-                                    cls_vol[seg[k] : seg[k + 1]],
-                                    site_alloc.per_pair[k],
-                                    orders[k],
-                                ),
-                                contended_ks,
-                                workers=self.workers,
-                            )
-                        if warm_outcomes:
-                            ssp_state_reused += len(warm_outcomes)
-                            outcomes = list(outcomes) + warm_outcomes
-                    sp.set_attribute("num_pairs", len(outcomes))
-                dt = sp.duration_s
-                stage2_s += dt
-                phase[StatKey.PHASE_CONTENDED_SSP] += dt
-                num_contended += len(outcomes)
+            with tracer.span(
+                "te.phase.contended_ssp", qos=qos.value
+            ) as sp:
+                contended_ks = [int(k) for k in candidates[contended_pos]]
+                # Carried second-stage state: each contended pair's
+                # previous assignment is re-validated against the new
+                # volumes and allocation, and pairs whose warm fill lands
+                # within the FastSSP precision target skip the cold
+                # solve.  Only sound when the class's flow population is
+                # unchanged (the assignment indexes flow positions) and
+                # disabled at threshold 0 to keep the bit-exactness
+                # contract.
+                warm_active = (
+                    state is not None
+                    and carried
+                    and population_same
+                    and inc.carry_ssp_state
+                    and inc.delta_threshold > 0.0
+                )
+                filled = fill_pairs(
+                    [cls_vol[seg[k] : seg[k + 1]] for k in contended_ks],
+                    [site_alloc.per_pair[k] for k in contended_ks],
+                    [orders[k] for k in contended_ks],
+                    self.fastssp_epsilon,
+                    prev_assigned=(
+                        [
+                            state.ssp_assigned.get((qos.value, k))
+                            for k in contended_ks
+                        ]
+                        if warm_active
+                        else None
+                    ),
+                    phase_out=ssp_batch_phase,
+                )
+                ssp_state_reused += sum(warm for _, _, warm in filled)
+                sp.set_attribute("num_pairs", len(filled))
+            dt = sp.duration_s
+            stage2_s += dt
+            phase[StatKey.PHASE_CONTENDED_SSP] += dt
+            num_contended += len(filled)
 
-            for outcome in outcomes:
-                k = outcome.k
+            for k, (assigned_k, placed_k, _) in zip(contended_ks, filled):
                 idx = cls_idx[seg[k] : seg[k + 1]]
                 volumes = cls_vol[seg[k] : seg[k + 1]]
-                mask = outcome.assigned_tunnel >= 0
-                assigned_flat[idx[mask]] = outcome.assigned_tunnel[mask]
+                mask = assigned_k >= 0
+                assigned_flat[idx[mask]] = assigned_k[mask]
                 contrib[k] = float(volumes[mask].sum())
-                combined_values[offsets[k] : offsets[k + 1]] += (
-                    outcome.placed_per_tunnel
-                )
-                placed_flat[offsets[k] : offsets[k + 1]] = (
-                    outcome.placed_per_tunnel
-                )
+                combined_values[offsets[k] : offsets[k + 1]] += placed_k
+                placed_flat[offsets[k] : offsets[k + 1]] = placed_k
 
             if state is not None:
                 state.lp[qos.value] = ClassLPState(
@@ -775,10 +540,8 @@ class MegaTEOptimizer:
                     alloc_flat=alloc_flat.copy(),
                     residual_in=residual_in,
                 )
-                for outcome in outcomes:
-                    state.ssp_assigned[(qos.value, outcome.k)] = (
-                        outcome.assigned_tunnel
-                    )
+                for k, (assigned_k, _, _) in zip(contended_ks, filled):
+                    state.ssp_assigned[(qos.value, k)] = assigned_k
 
             # Accumulate in pair order so the float sum matches the
             # reference loop bit for bit.
@@ -821,7 +584,6 @@ class MegaTEOptimizer:
                 StatKey.FASTSSP_EPSILON: self.fastssp_epsilon,
                 StatKey.SATISFIED_BY_CLASS: per_class_satisfied,
                 StatKey.PHASE_S: phase,
-                StatKey.SECOND_STAGE: self.second_stage,
                 StatKey.NUM_UNCONTENDED_PAIRS: num_uncontended,
                 StatKey.NUM_CONTENDED_PAIRS: num_contended,
                 StatKey.BACKEND: (
@@ -835,105 +597,6 @@ class MegaTEOptimizer:
                 StatKey.PAIRS_DELTA_PATCHED: pairs_delta_patched,
                 StatKey.SSP_STATE_REUSED: ssp_state_reused,
                 StatKey.INCREMENTAL: inc is not None,
-                StatKey.SHARD_WORKERS: (
-                    shard_config.workers
-                    if shard_config is not None
-                    else 0
-                ),
-                StatKey.NUM_SHARDED_PAIRS: num_sharded,
-                StatKey.SHARD_TIMINGS: shard_timings,
-                StatKey.SSP_BACKEND: ssp_backend_used,
                 StatKey.SSP_BATCH_PHASE_S: ssp_batch_phase,
             },
-        )
-
-    def _solve_contended_sharded(
-        self,
-        shard_ctx: ShardContext,
-        qos: QoSClass,
-        attribute: str,
-        contended_ks: list[int],
-        seg: np.ndarray,
-        cls_idx: np.ndarray,
-        offsets: np.ndarray,
-        alloc_flat: np.ndarray,
-        state: IncrementalState | None,
-        ssp_backend: str = "scalar",
-    ) -> "tuple[list[_PairOutcome], object] | None":
-        """Dispatch one class's contended residue to the shard workers.
-
-        Workers write each pair's class assignment and per-tunnel placed
-        volume straight into the shared columns; this reads them back
-        into owned ``_PairOutcome`` arrays (never views into the arena —
-        the segment outlives no solve) so the merge loop, the satisfied
-        accounting, and the carried SSP state are byte-for-byte the
-        in-process path's.  Returns ``None`` when the context declined
-        (serial cutoff) or broke (worker death).
-        """
-        warm_prev: dict[int, np.ndarray] | None = None
-        if state is not None:
-            warm_prev = {}
-            for k in contended_ks:
-                prev = state.ssp_assigned.get((qos.value, k))
-                if prev is not None:
-                    warm_prev[k] = prev
-            if not warm_prev:
-                warm_prev = None
-        ks_arr = np.asarray(contended_ks, dtype=np.int64)
-        weights = (seg[ks_arr + 1] - seg[ks_arr]).astype(np.float64)
-        shard_out = shard_ctx.solve_class(
-            qos.value,
-            attribute,
-            self.fastssp_epsilon,
-            ks_arr,
-            weights,
-            alloc_flat,
-            warm_prev,
-            ssp_backend=ssp_backend,
-        )
-        if shard_out is None:
-            return None
-        # Only the completed shards' pairs have valid arena slots; on a
-        # partial salvage the crashed shards' pairs are in failed_ks
-        # and the caller re-solves them in-process.
-        shared_assigned = shard_ctx.arena["assigned"]
-        shared_placed = shard_ctx.arena["placed"]
-        outcomes = [
-            _PairOutcome(
-                k=k,
-                assigned_tunnel=shared_assigned[
-                    cls_idx[seg[k] : seg[k + 1]]
-                ].copy(),
-                placed_per_tunnel=shared_placed[
-                    offsets[k] : offsets[k + 1]
-                ].copy(),
-            )
-            for k in shard_out.ks.tolist()
-        ]
-        return outcomes, shard_out
-
-    def _solve_pair(
-        self,
-        k: int,
-        volumes: np.ndarray,
-        alloc_k: np.ndarray,
-        fill_order: np.ndarray,
-    ) -> _PairOutcome:
-        """MaxEndpointFlow for one site pair and class.
-
-        Tunnels are processed in ascending order of the class's preferred
-        attribute — latency for classes 1-2, cost for class 3 — so the
-        most preferred tunnel's allocation is filled first (App. A.2's
-        sequential dependency) and each subsequent tunnel chooses among
-        the still-unassigned flows.
-
-        Delegates to :func:`repro.core.pairfill.fill_pair` — the same
-        function the shard workers run, which is what makes the sharded
-        path bit-identical to this one.
-        """
-        assigned, placed = fill_pair(
-            volumes, alloc_k, fill_order, self.fastssp_epsilon
-        )
-        return _PairOutcome(
-            k=k, assigned_tunnel=assigned, placed_per_tunnel=placed
         )

@@ -50,7 +50,6 @@ class StatKey:
     FASTSSP_EPSILON = "fastssp_epsilon"
     SATISFIED_BY_CLASS = "satisfied_by_class"
     PHASE_S = "phase_s"
-    SECOND_STAGE = "second_stage"
     NUM_UNCONTENDED_PAIRS = "num_uncontended_pairs"
     NUM_CONTENDED_PAIRS = "num_contended_pairs"
     BACKEND = "backend"
@@ -60,10 +59,6 @@ class StatKey:
     PAIRS_DELTA_PATCHED = "pairs_delta_patched"
     SSP_STATE_REUSED = "ssp_state_reused"
     INCREMENTAL = "incremental"
-    SHARD_WORKERS = "shard_workers"
-    NUM_SHARDED_PAIRS = "num_sharded_pairs"
-    SHARD_TIMINGS = "shard_timings"
-    SSP_BACKEND = "ssp_backend"
     SSP_BATCH_PHASE_S = "ssp_batch_phase_s"
 
     # Phases of the ``phase_s`` breakdown.

@@ -62,12 +62,11 @@ REQUIRED_KEYS = (
     "config",
     "realization_s",
     "batched",
-    "serial",
     "incremental",
     "incremental_speedup_vs_batched",
 )
 
-#: Keys every per-mode replay summary (``batched``/``serial``/...) must
+#: Keys every per-mode replay summary (``batched``/``incremental``/...) must
 #: carry — the timing and equivalence fields the trajectory reads.
 MODE_KEYS = (
     "stage1_lp_s",
@@ -86,9 +85,11 @@ CONFIG_KEYS = (
     "seed",
 )
 
-#: Extra per-mode summaries validated when present (records from
-#: configs that exercise them; absent on legacy records).
-OPTIONAL_MODES = ("sharded", "scalar_fill")
+#: Extra per-mode summaries validated when present.  Legacy records
+#: carry them from second-stage modes that no longer exist (the scalar
+#: per-pair ``serial`` stage, process sharding, scalar fill); new
+#: records omit them but old ones must still load.
+OPTIONAL_MODES = ("serial", "sharded", "scalar_fill")
 
 #: Keys every ``soak`` record must carry.
 SOAK_REQUIRED_KEYS = (
@@ -394,7 +395,7 @@ def validate_history_record(record: object, index: int | None = None) -> None:
             where,
             f"realization_s[{phase!r}] must be a non-negative number",
         )
-    for mode in ("batched", "serial", "incremental"):
+    for mode in ("batched", "incremental"):
         _validate_mode(record[mode], f"{where}.{mode}")
     for mode in OPTIONAL_MODES:
         if mode in record:

@@ -3,17 +3,18 @@
 Thin experiment wrapper around the soak engine
 (:mod:`repro.simulation.soak`): it pins the study configuration (the
 same way the replay bench pins its perf configs), builds the TWAN
-scenario and diurnal sequence, switches on everything the engine is
-meant to stress — the incremental cross-interval engine *and* the
-process-sharded second stage — and turns the resulting
+scenario and diurnal sequence, switches on the incremental
+cross-interval engine, and turns the resulting
 :class:`~repro.simulation.soak.SoakReport` into a ``soak`` bench-history
 record so failure-behavior regressions are caught like perf
 regressions.
 
 Record naming: the scenario mix, topology scale, horizon, and seed are
-all part of the config name (``soak-full-mix-twan-20k-50i-s0``), because
-the history's same-name-identical-config invariant means any knob that
-may vary between runs has to vary the name too.
+all part of the config name (``soak-full-mix-twan-20k-50i-s0-r2``),
+because the history's same-name-identical-config invariant means any
+knob that may vary between runs has to vary the name too.  The trailing
+revision tag changes whenever the config block's key set does, so a
+trajectory never mixes two config shapes.
 """
 
 from __future__ import annotations
@@ -56,8 +57,11 @@ SOAK_DEFAULTS = dict(
     interval_s=300.0,
     num_agents=40,
     num_shards=4,
-    shard_workers=2,
 )
+
+#: Revision tag of the config block's key set, appended to every
+#: trajectory name.  Revision 2 dropped the process-shard worker count.
+SOAK_CONFIG_REVISION = 2
 
 
 def soak_config(scenario: str = "full-mix", **overrides) -> dict:
@@ -83,6 +87,7 @@ def soak_config_name(cfg: dict) -> str:
     return (
         f"soak-{cfg['scenario']}-{cfg['topology_name']}-{scale}"
         f"-{cfg['num_intervals']}i-s{cfg['seed']}"
+        f"-r{SOAK_CONFIG_REVISION}"
     )
 
 
@@ -95,8 +100,7 @@ def run_soak_study(
 
     Incremental engine on (``delta_threshold=0.0``, so reuse is exact
     and the assignment digest stays comparable to a cold replay),
-    sharded second stage on, telemetry always on (the engine owns the
-    registry for the run).  SLO violations are recorded on the report,
+    telemetry always on (the engine owns the registry for the run).  SLO violations are recorded on the report,
     not raised — gate with
     :meth:`~repro.simulation.soak.SoakReport.assert_slos`.
 
@@ -124,25 +128,20 @@ def run_soak_study(
         seed=cfg["seed"],
         num_shards=cfg["num_shards"],
     )
-    with MegaTEOptimizer(
-        incremental=True,
-        delta_threshold=0.0,
-        shard_workers=cfg["shard_workers"],
-    ) as optimizer:
-        return run_soak(
-            built.topology,
-            sequence,
-            cfg["num_intervals"],
-            events,
-            optimizer=optimizer,
-            interval_s=cfg["interval_s"],
-            num_agents=cfg["num_agents"],
-            num_shards=cfg["num_shards"],
-            seed=cfg["seed"],
-            slo_spec=slo_spec,
-            scenario=scenario,
-            topology_name=cfg["topology_name"],
-        )
+    return run_soak(
+        built.topology,
+        sequence,
+        cfg["num_intervals"],
+        events,
+        optimizer=MegaTEOptimizer(incremental=True, delta_threshold=0.0),
+        interval_s=cfg["interval_s"],
+        num_agents=cfg["num_agents"],
+        num_shards=cfg["num_shards"],
+        seed=cfg["seed"],
+        slo_spec=slo_spec,
+        scenario=scenario,
+        topology_name=cfg["topology_name"],
+    )
 
 
 def soak_history_record(
@@ -152,17 +151,14 @@ def soak_history_record(
     git_sha: str,
 ) -> dict:
     """A validated ``soak`` history record for one finished run."""
-    from ..core.fastssp_batch import resolve_ssp_backend_name
-
     record = {
         "timestamp": timestamp,
         "git_sha": git_sha,
         "kind": "soak",
         # The SLO gate baselines only against records from the same
-        # FastSSP kernel (tools/check_slo_regression.py); the soak
-        # engine runs the optimizer defaults, so the env-resolved
-        # backend is exactly what this run used.
-        "ssp_backend": resolve_ssp_backend_name(),
+        # FastSSP kernel (tools/check_slo_regression.py); the batched
+        # numpy kernel is the only one.
+        "ssp_backend": "numpy",
         "config_name": soak_config_name(cfg),
         "config": {k: v for k, v in cfg.items() if k != "scenario"},
         "scenario": report.scenario,
@@ -172,7 +168,6 @@ def soak_history_record(
         "violations": list(report.violations),
         "identity_digest": report.identity_digest(),
         "assignment_digest": report.assignment_digest,
-        "num_sharded_pairs": report.num_sharded_pairs,
         "resharded_keys": report.resharded_keys,
         "injected_faults": report.injected_faults,
     }

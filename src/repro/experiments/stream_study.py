@@ -233,8 +233,6 @@ def stream_history_record(
     git_sha: str,
 ) -> dict:
     """A validated ``stream`` history record for one finished study."""
-    from ..core.fastssp_batch import resolve_ssp_backend_name
-
     cfg = study["config"]
     config = {k: v for k, v in cfg.items() if k != "scenario"}
     # The shared trajectory tooling keys comparable runs on the perf
@@ -244,7 +242,7 @@ def stream_history_record(
         "timestamp": timestamp,
         "git_sha": git_sha,
         "kind": "stream",
-        "ssp_backend": resolve_ssp_backend_name(),
+        "ssp_backend": "numpy",
         "config_name": stream_config_name(cfg, study["trigger"]),
         "config": config,
         "scenario": study["scenario"],

@@ -10,8 +10,7 @@ dicts it replaces are banned by lint outside ``repro.obs`` and
   serialization.  A span always measures its duration (so solver stats
   stay populated), but is only *collected* while tracing is enabled.
 * :mod:`repro.obs.metrics` — a metrics registry of labeled counters,
-  gauges, and log-linear-bucket histograms, with snapshot/merge support
-  for ``parallel_map``-style workers.
+  gauges, and log-linear-bucket histograms, with JSON snapshots.
 * :mod:`repro.obs.export` — exporters: JSONL span/metric events and
   Prometheus text-exposition format.
 

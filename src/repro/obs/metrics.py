@@ -3,17 +3,15 @@
 Prometheus-shaped but dependency-free.  A *family* is one named metric
 (``megate_tedb_queries_total``) with fixed label names; each distinct
 label-value combination is a *series* (child) holding the actual state.
-Families and children are thread-safe — the second-stage pair solves run
-under ``parallel_map`` threads and may record concurrently.
+Families and children are thread-safe, so concurrent callers may record
+into one registry.
 
 Recording is gated on :attr:`MetricsRegistry.enabled`: a disabled
 ``inc``/``set``/``observe`` is one attribute load and a branch, which is
 what keeps the whole-loop disabled overhead inside the 2% budget.
 
-For process-style workers that cannot share a registry object,
-:meth:`MetricsRegistry.snapshot` and :meth:`MetricsRegistry.merge` give
-a commutative way to fold worker-local registries into the parent:
-counters and histograms add, gauges last-write-wins.
+:meth:`MetricsRegistry.snapshot` returns a JSON-serializable copy of
+every series.
 """
 
 from __future__ import annotations
@@ -153,7 +151,7 @@ class _GaugeChild:
 
 
 class Gauge(_Family):
-    """A value that can go up and down (last write wins on merge)."""
+    """A value that can go up and down (last write wins)."""
 
     kind = "gauge"
 
@@ -292,7 +290,7 @@ class MetricsRegistry:
         with self._lock:
             self._families.clear()
 
-    # -- snapshot / merge ----------------------------------------------------
+    # -- snapshot ----------------------------------------------------------
 
     def snapshot(self) -> dict:
         """A JSON-serializable copy of every series' current state."""
@@ -321,51 +319,6 @@ class MetricsRegistry:
                 entry["buckets"] = list(family.buckets)
             out[family.name] = entry
         return out
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a worker registry's :meth:`snapshot` into this one.
-
-        Counters and histograms add; gauges take the snapshot's value.
-        Families absent here are created with the snapshot's shape.
-        Merging bypasses the ``enabled`` gate — a parent folding worker
-        results wants them regardless of its own recording state.
-        """
-        kinds = {
-            "counter": self.counter,
-            "gauge": self.gauge,
-        }
-        for name, entry in snapshot.items():
-            kind = entry["kind"]
-            labelnames = tuple(entry["labelnames"])
-            if kind == "histogram":
-                family = self.histogram(
-                    name,
-                    entry["help"],
-                    labelnames,
-                    buckets=tuple(entry["buckets"]),
-                )
-            else:
-                family = kinds[kind](name, entry["help"], labelnames)
-            for item in entry["series"]:
-                labels = dict(zip(labelnames, item["labels"]))
-                child = family.labels(**labels)
-                state = item["state"]
-                with family._lock:
-                    if kind == "counter":
-                        child.value += state["value"]
-                    elif kind == "gauge":
-                        child.value = state["value"]
-                    else:
-                        counts = state["bucket_counts"]
-                        if len(counts) != len(child.bucket_counts):
-                            raise ValueError(
-                                f"metric {name!r}: bucket layout "
-                                "mismatch on merge"
-                            )
-                        for i, c in enumerate(counts):
-                            child.bucket_counts[i] += c
-                        child.sum += state["sum"]
-                        child.count += state["count"]
 
 
 _REGISTRY = MetricsRegistry()

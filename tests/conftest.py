@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from repro.core import (
+    PRIORITY_ORDER,
+    FlowAssignment,
+    MaxAllFlowProblem,
+    MegaTEOptimizer,
+    SiteFlowSolver,
+    fill_pair,
+)
 from repro.topology import (
     SiteNetwork,
     TwoLayerTopology,
@@ -97,3 +107,90 @@ def tiny_demands() -> DemandMatrix:
             )
         ]
     )
+
+
+@dataclass
+class ReferenceSolve:
+    """Outcome of :func:`reference_solve`."""
+
+    assignment: FlowAssignment
+    satisfied_volume: float
+    satisfied_by_class: dict[int, float]
+    site_allocation: np.ndarray  # flat per-tunnel placed volume
+
+
+def reference_solve(
+    topology: TwoLayerTopology,
+    demands: DemandMatrix,
+    fastssp_epsilon: float = 0.1,
+) -> ReferenceSolve:
+    """The two-stage solve with no triage and no batching.
+
+    Per QoS class in priority order: the stage-1 :class:`SiteFlowSolver`
+    LP over the residual capacities, then the scalar per-pair
+    :func:`~repro.core.pairfill.fill_pair` on *every* site pair, then
+    the residual update.  It mirrors the defaults of
+    :class:`MegaTEOptimizer` (class order, per-class tunnel attribute
+    and LP epsilon, accumulation order), so the optimizer's triage plus
+    batched kernel must reproduce it bit for bit.
+    """
+    problem = MaxAllFlowProblem(topology, demands)
+    solver = SiteFlowSolver.for_topology(topology)
+    offsets = solver.tunnel_offsets
+    residual = problem.capacities.astype(np.float64).copy()
+    table = demands.table
+    assignment = FlowAssignment.rejecting_all(demands)
+    combined = np.zeros(solver.num_tunnel_vars, dtype=np.float64)
+    total = 0.0
+    by_class: dict[int, float] = {}
+    for qos in PRIORITY_ORDER:
+        cls_idx = np.flatnonzero(table.qos == qos.value)
+        cls_vol = table.volumes[cls_idx]
+        seg = np.searchsorted(cls_idx, table.offsets)
+        class_demands = np.array(
+            [
+                float(cls_vol[seg[k] : seg[k + 1]].sum())
+                for k in range(solver.num_pairs)
+            ]
+        )
+        if not np.any(class_demands > 0):
+            continue
+        attribute = MegaTEOptimizer.DEFAULT_CLASS_ATTRIBUTE[qos]
+        if attribute == "weight":
+            weights = None
+            lp_epsilon = problem.effective_epsilon
+        else:
+            weights = solver.tunnel_attribute(attribute)
+            max_w = float(weights.max())
+            lp_epsilon = 0.3 / max_w if max_w > 0 else 0.0
+        orders, _ = solver.fill_orders(attribute)
+        alloc = solver.split(
+            solver.solve_flat(
+                class_demands,
+                capacities=residual,
+                tunnel_weights=weights,
+                epsilon=lp_epsilon,
+            )
+        )
+        placed_flat = np.zeros(solver.num_tunnel_vars, dtype=np.float64)
+        satisfied = 0.0
+        for k in range(solver.num_pairs):
+            volumes = cls_vol[seg[k] : seg[k + 1]]
+            assigned, placed = fill_pair(
+                volumes, alloc.per_pair[k], orders[k], fastssp_epsilon
+            )
+            mask = assigned >= 0
+            flows = cls_idx[seg[k] : seg[k + 1]]
+            assignment.assigned_tunnel[flows[mask]] = assigned[mask]
+            satisfied += float(volumes[mask].sum())
+            combined[offsets[k] : offsets[k + 1]] += placed
+            placed_flat[offsets[k] : offsets[k + 1]] = placed
+        np.subtract.at(
+            residual,
+            solver.incidence_rows,
+            placed_flat[solver.incidence_cols],
+        )
+        np.maximum(residual, 0.0, out=residual)
+        total += satisfied
+        by_class[qos.value] = satisfied
+    return ReferenceSolve(assignment, total, by_class, combined)

@@ -32,6 +32,7 @@ def _mode_summary() -> dict:
 
 
 def _valid_record() -> dict:
+    """A legacy-shaped record: it still carries the ``serial`` mode."""
     return {
         "timestamp": "2026-08-06T00:00:00Z",
         "git_sha": "abcdef123456",
@@ -55,6 +56,13 @@ def test_valid_record_passes():
     validate_history_record(_valid_record())
 
 
+def test_record_without_serial_mode_passes():
+    """New records drop the removed serial second stage."""
+    record = _valid_record()
+    del record["serial"]
+    validate_history_record(record)
+
+
 def test_extra_keys_are_ignored():
     record = _valid_record()
     record["highspy"] = None
@@ -64,7 +72,7 @@ def test_extra_keys_are_ignored():
 
 @pytest.mark.parametrize("key", [
     "timestamp", "git_sha", "backend", "config", "realization_s",
-    "batched", "serial", "incremental", "incremental_speedup_vs_batched",
+    "batched", "incremental", "incremental_speedup_vs_batched",
 ])
 def test_missing_required_key_raises(key):
     record = _valid_record()
@@ -74,6 +82,7 @@ def test_missing_required_key_raises(key):
 
 
 def test_bad_digest_raises():
+    """A legacy record's optional serial mode is still validated."""
     record = _valid_record()
     record["serial"]["assignment_digest"] = "deadbeef"
     with pytest.raises(BenchHistoryError, match="assignment_digest"):

@@ -12,17 +12,15 @@ everything-fits, contended, subnormal delta-underflow capacities from
 ``fastssp.py``'s normalization guard), and the epsilon grid; a single
 differing bit fails the property.
 
-``fill_pairs_batch`` is held to the same contract against per-pair
-:func:`repro.core.pairfill.fill_pair` composition, and the backend
-resolution is pinned to the LP-backend selection pattern (arg > env >
-numpy; explicit-but-unavailable torch/cupy warn and degrade, ``auto``
-degrades silently).
+``fill_pairs_batch`` (and the production ``fill_pairs`` that wraps it)
+is held to the same contract against per-pair
+:func:`repro.core.pairfill.fill_pair` composition, and a small replay
+must match the serial per-pair reference solve end to end.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
+import hashlib
 
 import numpy as np
 import pytest
@@ -30,24 +28,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.fastssp import fast_ssp
 from repro.core.fastssp_batch import (
-    SSP_BACKEND_ENV,
     BatchedSSPResult,
-    cupy_available,
     fast_ssp_batch,
     fill_pairs_batch,
-    resolve_ssp_backend_name,
-    torch_available,
 )
 from repro.core.pairfill import fill_pair, fill_pairs
 
-#: Backends exercised by the equality properties: numpy always, the
-#: accelerator backends only when their wheel + device are present (the
-#: fallback behavior itself is pinned separately below).
-BACKENDS = ["numpy"]
-if torch_available():
-    BACKENDS.append("torch")
-if cupy_available():
-    BACKENDS.append("cupy")
+from conftest import reference_solve
 
 EPSILONS = [0.05, 0.1, 0.3, 0.9]
 
@@ -112,8 +99,7 @@ def ssp_instances(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(instances=ssp_instances(), epsilon=st.sampled_from(EPSILONS))
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batched_equals_scalar(backend, instances, epsilon):
+def test_batched_equals_scalar(instances, epsilon):
     """Every instance of every drawn batch matches fast_ssp bit-for-bit."""
     offsets = np.concatenate(
         ([0], np.cumsum([v.size for v, _ in instances]))
@@ -124,9 +110,7 @@ def test_batched_equals_scalar(backend, instances, epsilon):
         else np.empty(0, dtype=np.float64)
     )
     caps = np.asarray([c for _, c in instances], dtype=np.float64)
-    res = fast_ssp_batch(
-        flat, offsets, caps, epsilon=epsilon, backend=backend
-    )
+    res = fast_ssp_batch(flat, offsets, caps, epsilon=epsilon)
     assert isinstance(res, BatchedSSPResult)
     assert len(res) == len(instances)
     for i, (values, capacity) in enumerate(instances):
@@ -134,8 +118,7 @@ def test_batched_equals_scalar(backend, instances, epsilon):
         _assert_results_equal(
             res.result(i),
             ref,
-            f"instance {i} (backend={backend}, eps={epsilon}, "
-            f"cap={capacity!r})",
+            f"instance {i} (eps={epsilon}, cap={capacity!r})",
         )
 
 
@@ -183,11 +166,10 @@ def test_presorted_hints_equal_unsorted(instances, epsilon):
     num_chunks=st.integers(min_value=1, max_value=4),
 )
 def test_batched_chunking_invariant(instances, epsilon, num_chunks):
-    """Splitting one batch into shards never changes any instance.
+    """Splitting one batch into chunks never changes any instance.
 
-    This is the shard-worker contract: each worker batches only its own
-    pair range, and the result must equal both the whole-batch solve and
-    the scalar reference.
+    Each instance's result depends on its own segment only, so a caller
+    batching any subset of pairs gets the whole-batch solve's bits.
     """
     whole_offsets = np.concatenate(
         ([0], np.cumsum([v.size for v, _ in instances]))
@@ -266,19 +248,19 @@ def test_fill_pairs_batch_equals_fill_pair(pairs, epsilon):
 
 @settings(max_examples=20, deadline=None)
 @given(pairs=pair_fill_cases())
-def test_fill_pairs_scalar_backend_equals_batched(pairs):
-    """pairfill.fill_pairs: 'scalar' routing == batched routing."""
-    args = (
+def test_fill_pairs_cold_equals_fill_pair(pairs):
+    """pairfill.fill_pairs without carried state == per-pair fill_pair."""
+    got = fill_pairs(
         [p[0] for p in pairs],
         [p[1] for p in pairs],
         [p[2] for p in pairs],
+        epsilon=0.1,
     )
-    scalar = fill_pairs(*args, epsilon=0.1, ssp_backend="scalar")
-    batched = fill_pairs(*args, epsilon=0.1, ssp_backend="numpy")
-    for i in range(len(pairs)):
-        assert np.array_equal(scalar[i][0], batched[i][0])
-        assert np.array_equal(scalar[i][1], batched[i][1])
-        assert scalar[i][2] == batched[i][2] == False  # noqa: E712
+    for i, (volumes, alloc, order) in enumerate(pairs):
+        ref_assigned, ref_placed = fill_pair(volumes, alloc, order, 0.1)
+        assert np.array_equal(got[i][0], ref_assigned)
+        assert np.array_equal(got[i][1], ref_placed)
+        assert got[i][2] is False
 
 
 def test_empty_batch():
@@ -305,66 +287,6 @@ def test_batch_validation_errors():
             np.ones(1),
             epsilon=1.5,
         )
-    with pytest.raises(ValueError, match="unknown SSP backend"):
-        resolve_ssp_backend_name("bogus")
-
-
-class TestBackendResolution:
-    """arg > REPRO_SSP_BACKEND > numpy, with clean fallbacks."""
-
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(SSP_BACKEND_ENV, raising=False)
-        assert resolve_ssp_backend_name() == "numpy"
-
-    def test_env_consulted(self, monkeypatch):
-        monkeypatch.setenv(SSP_BACKEND_ENV, "scalar")
-        assert resolve_ssp_backend_name() == "scalar"
-
-    def test_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SSP_BACKEND_ENV, "scalar")
-        assert resolve_ssp_backend_name("numpy") == "numpy"
-
-    def test_empty_env_means_default(self, monkeypatch):
-        monkeypatch.setenv(SSP_BACKEND_ENV, "")
-        assert resolve_ssp_backend_name() == "numpy"
-
-    @pytest.mark.skipif(
-        torch_available(), reason="torch installed; fallback n/a"
-    )
-    def test_explicit_torch_falls_back_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            assert resolve_ssp_backend_name("torch") == "numpy"
-
-    @pytest.mark.skipif(
-        cupy_available(), reason="cupy usable; fallback n/a"
-    )
-    def test_explicit_cupy_falls_back_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            assert resolve_ssp_backend_name("cupy") == "numpy"
-
-    @pytest.mark.skipif(
-        torch_available() or cupy_available(),
-        reason="an accelerator is available; auto would pick it",
-    )
-    def test_auto_degrades_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_ssp_backend_name("auto") == "numpy"
-
-    def test_unavailable_backend_still_solves(self, monkeypatch):
-        """An env-selected missing accelerator must not break solves."""
-        if torch_available():
-            pytest.skip("torch installed; fallback n/a")
-        monkeypatch.setenv(SSP_BACKEND_ENV, "torch")
-        with pytest.warns(RuntimeWarning):
-            res = fast_ssp_batch(
-                np.array([3.0, 2.0, 1.0]),
-                np.array([0, 3], dtype=np.int64),
-                np.array([4.0]),
-            )
-        assert res.backend == "numpy"
-        ref = fast_ssp(np.array([3.0, 2.0, 1.0]), 4.0)
-        _assert_results_equal(res.result(0), ref, "env fallback")
 
 
 def test_result_views_match_fast_ssp_shapes():
@@ -418,8 +340,15 @@ def test_degenerate_subnormal_capacity_batch():
 
 
 def test_replay_digest_scalar_vs_batched():
-    """End to end: a small replay is digest-identical across backends."""
+    """End to end: a small replay is digest-identical to the reference.
+
+    The reference is the serial per-pair solve with no triage
+    (:func:`conftest.reference_solve`); the optimizer's replay must
+    produce the same assignment bytes interval for interval.
+    """
+    from repro.experiments.common import build_scenario
     from repro.experiments.interval_replay import run_interval_replay
+    from repro.traffic import DiurnalSequence
 
     config = dict(
         total_endpoints=2_000,
@@ -427,30 +356,20 @@ def test_replay_digest_scalar_vs_batched():
         target_load=1.6,
         num_intervals=2,
     )
-    scalar = run_interval_replay(ssp_backend="scalar", **config)
-    batched = run_interval_replay(ssp_backend="numpy", **config)
-    assert scalar.ssp_backend == "scalar"
-    assert batched.ssp_backend == "numpy"
-    assert scalar.assignment_digest == batched.assignment_digest
+    batched = run_interval_replay(**config)
     assert batched.ssp_batch_phase_s  # kernel actually ran
 
-
-def test_env_backend_reaches_optimizer(monkeypatch):
-    """REPRO_SSP_BACKEND steers the solve and lands in the stats."""
-    from repro.core.types import StatKey
-    from repro.experiments.common import build_scenario
-    from repro.core import MegaTEOptimizer
-
-    sc = build_scenario(
+    scenario = build_scenario(
         "twan",
-        total_endpoints=1_000,
-        num_site_pairs=10,
-        target_load=1.6,
-        seed=7,
+        total_endpoints=config["total_endpoints"],
+        num_site_pairs=config["num_site_pairs"],
+        target_load=config["target_load"],
+        seed=42,
     )
-    monkeypatch.setenv(SSP_BACKEND_ENV, "scalar")
-    result = MegaTEOptimizer().solve(sc.topology, sc.demands)
-    assert result.stats[StatKey.SSP_BACKEND] == "scalar"
-    monkeypatch.delenv(SSP_BACKEND_ENV)
-    result = MegaTEOptimizer().solve(sc.topology, sc.demands)
-    assert result.stats[StatKey.SSP_BACKEND] == "numpy"
+    sequence = DiurnalSequence(base=scenario.demands, seed=5)
+    digest = hashlib.sha256()
+    for interval in range(config["num_intervals"]):
+        ref = reference_solve(scenario.topology, sequence.matrix(interval))
+        for arr in ref.assignment.per_pair:
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == batched.assignment_digest

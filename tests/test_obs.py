@@ -179,43 +179,6 @@ def test_disabled_registry_records_nothing():
     )
 
 
-def test_snapshot_merge_counters_add(registry):
-    registry.counter("hits_total").inc(2.0)
-    registry.histogram("lat", buckets=(1.0,)).observe(0.5)
-    registry.gauge("level").set(7.0)
-
-    other = MetricsRegistry(enabled=True)
-    other.counter("hits_total").inc(3.0)
-    other.histogram("lat", buckets=(1.0,)).observe(2.0)
-    other.gauge("level").set(1.0)
-
-    registry.merge(other.snapshot())
-    assert dict(registry.counter("hits_total").series())[()].value == 5.0
-    hist = dict(registry.histogram("lat", buckets=(1.0,)).series())[()]
-    assert hist.bucket_counts == [1, 1]
-    assert hist.count == 2
-    # Gauges: last write (the snapshot) wins.
-    assert dict(registry.gauge("level").series())[()].value == 1.0
-
-
-def test_merge_into_disabled_registry_still_lands():
-    source = MetricsRegistry(enabled=True)
-    source.counter("hits_total").inc(4.0)
-    target = MetricsRegistry(enabled=False)
-    target.merge(source.snapshot())
-    assert dict(target.counter("hits_total").series())[()].value == 4.0
-
-
-def test_merge_bucket_mismatch_raises(registry):
-    registry.histogram("lat", buckets=(1.0,)).observe(0.5)
-    other = MetricsRegistry(enabled=True)
-    other.histogram("lat", buckets=(1.0, 2.0)).observe(0.5)
-    snapshot = other.snapshot()
-    # Same name, different bucket layout -> the get-or-create conflicts.
-    with pytest.raises(ValueError):
-        registry.merge(snapshot)
-
-
 def test_concurrent_counter_increments(registry):
     c = registry.counter("hits_total")
 

@@ -35,7 +35,7 @@ WALL_CLOCK_BOUND_S = 30.0
 
 def test_interval_replay_smoke():
     report = run_interval_replay(
-        optimizer=MegaTEOptimizer(second_stage="batched", workers="auto"),
+        optimizer=MegaTEOptimizer(),
         **SMOKE_CONFIG,
     )
     assert report.num_intervals == SMOKE_CONFIG["num_intervals"]
@@ -67,7 +67,6 @@ def test_result_stats_contract():
         "fastssp_epsilon",
         "satisfied_by_class",
         "phase_s",
-        "second_stage",
         "num_uncontended_pairs",
         "num_contended_pairs",
         "backend",
@@ -97,14 +96,14 @@ def test_telemetry_does_not_change_results():
     digest with telemetry on is bit-identical to the telemetry-off run.
     """
     baseline = run_interval_replay(
-        optimizer=MegaTEOptimizer(second_stage="batched"), **SMOKE_CONFIG
+        optimizer=MegaTEOptimizer(), **SMOKE_CONFIG
     )
     was = obs.telemetry_enabled()
     try:
         obs.set_enabled(True)
         obs.reset()
         traced = run_interval_replay(
-            optimizer=MegaTEOptimizer(second_stage="batched"),
+            optimizer=MegaTEOptimizer(),
             **SMOKE_CONFIG,
         )
         # The run actually produced telemetry...
@@ -149,7 +148,7 @@ def test_disabled_telemetry_overhead_within_budget():
     gate_cost_s = (monotonic() - t0) / iterations
 
     report = run_interval_replay(
-        optimizer=MegaTEOptimizer(second_stage="batched"), **SMOKE_CONFIG
+        optimizer=MegaTEOptimizer(), **SMOKE_CONFIG
     )
     # Spans per interval: te.interval + te.solve + ~6 phase spans + the
     # realization spans; metric gates are checked once per solve/poll.
