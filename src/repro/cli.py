@@ -406,24 +406,30 @@ def _cmd_replay(args) -> None:
     _emit("\n".join(lines) + "\n", args.out)
 
 
+def _metrics_text(as_json: bool) -> str:
+    """The metrics registry as a JSON snapshot or Prometheus text."""
+    registry = obs.get_registry()
+    if as_json:
+        return json.dumps(obs.registry_to_json(registry), indent=2) + "\n"
+    return obs.registry_to_prometheus(registry)
+
+
+def _write_metrics(path: str | None) -> None:
+    """``--metrics-out``: dump the registry (JSON for ``.json`` paths)."""
+    if not path:
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(_metrics_text(path.endswith(".json")))
+    print(f"wrote metrics to {path}")
+
+
 def _write_replay_telemetry(args) -> None:
     """Dump the trace/metrics files an instrumented replay asked for."""
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as handle:
             written = obs.get_tracer().to_jsonl(handle)
         print(f"wrote {written} spans to {args.trace_out}")
-    if args.metrics_out:
-        registry = obs.get_registry()
-        if args.metrics_out.endswith(".json"):
-            text = (
-                json.dumps(obs.registry_to_json(registry), indent=2)
-                + "\n"
-            )
-        else:
-            text = obs.registry_to_prometheus(registry)
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote metrics to {args.metrics_out}")
+    _write_metrics(args.metrics_out)
 
 
 def _cmd_chaos(args) -> None:
@@ -459,18 +465,33 @@ def _cmd_chaos(args) -> None:
     _emit("\n".join(lines) + "\n", args.out)
 
 
-def _git_sha() -> str:
-    """Short commit id for history records (``unknown`` outside git)."""
+def _history_stamp() -> dict:
+    """``timestamp`` and short ``git_sha`` (``unknown`` outside git)."""
     import subprocess
+    import time
 
     try:
         sha = subprocess.run(
             ["git", "rev-parse", "--short=12", "HEAD"],
             capture_output=True, text=True, timeout=10, check=True,
         ).stdout.strip()
-        return sha or "unknown"
     except Exception:
-        return "unknown"
+        sha = ""
+    return {
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "git_sha": sha or "unknown",
+    }
+
+
+def _append_history(path: str, record: dict) -> None:
+    """``--history``: append one validated record to the artifact."""
+    from .experiments.bench_history import append_history_record
+
+    total = append_history_record(path, record)
+    print(
+        f"appended {record['kind']} record {record['config_name']} to "
+        f"{path} ({total} history records)"
+    )
 
 
 def _cmd_soak(args) -> None:
@@ -482,10 +503,7 @@ def _cmd_soak(args) -> None:
     then evaluates the run's Prometheus snapshot against the SLO spec.
     Exits non-zero on any violation unless ``--no-gate``.
     """
-    import time
-
     from .experiments.soak_study import (
-        append_soak_record,
         run_soak_study,
         soak_config,
         soak_history_record,
@@ -501,33 +519,13 @@ def _cmd_soak(args) -> None:
         num_shards=args.shards,
     )
     report = run_soak_study(args.scenario, **overrides)
-    if args.metrics_out:
-        # run_soak leaves its series in the registry for exactly this.
-        registry = obs.get_registry()
-        if args.metrics_out.endswith(".json"):
-            text = (
-                json.dumps(obs.registry_to_json(registry), indent=2)
-                + "\n"
-            )
-        else:
-            text = obs.registry_to_prometheus(registry)
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote metrics to {args.metrics_out}")
+    # run_soak leaves its series in the registry for exactly this.
+    _write_metrics(args.metrics_out)
     if args.history:
         cfg = soak_config(args.scenario, **overrides)
-        record = soak_history_record(
-            report,
-            cfg,
-            timestamp=time.strftime(
-                "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-            ),
-            git_sha=_git_sha(),
-        )
-        total = append_soak_record(args.history, record)
-        print(
-            f"appended soak record {record['config_name']} to "
-            f"{args.history} ({total} history records)"
+        _append_history(
+            args.history,
+            soak_history_record(report, cfg, **_history_stamp()),
         )
     if args.json:
         _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.out)
@@ -602,10 +600,7 @@ def _cmd_stream(args) -> None:
     with/without admission control — and reports the satisfied-volume
     ratio, the solve budget, and the QoS-1 protection margin.
     """
-    import time
-
     from .experiments.stream_study import (
-        append_stream_record,
         run_stream_study,
         stream_history_record,
     )
@@ -626,32 +621,12 @@ def _cmd_stream(args) -> None:
         predictor=_make_predictor(args.predictor),
         **overrides,
     )
-    if args.metrics_out:
-        # The headline (admission-on) run leaves its series in the
-        # registry for exactly this.
-        registry = obs.get_registry()
-        if args.metrics_out.endswith(".json"):
-            text = (
-                json.dumps(obs.registry_to_json(registry), indent=2)
-                + "\n"
-            )
-        else:
-            text = obs.registry_to_prometheus(registry)
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote metrics to {args.metrics_out}")
+    # The headline (admission-on) run leaves its series in the
+    # registry for exactly this.
+    _write_metrics(args.metrics_out)
     if args.history:
-        record = stream_history_record(
-            study,
-            timestamp=time.strftime(
-                "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-            ),
-            git_sha=_git_sha(),
-        )
-        total = append_stream_record(args.history, record)
-        print(
-            f"appended stream record {record['config_name']} to "
-            f"{args.history} ({total} history records)"
+        _append_history(
+            args.history, stream_history_record(study, **_history_stamp())
         )
     if args.json:
         _emit(json.dumps(study, indent=2) + "\n", args.out)
@@ -686,12 +661,7 @@ def _cmd_stream(args) -> None:
 
 def _cmd_metrics(args) -> None:
     _instrumented_replay(args)
-    registry = obs.get_registry()
-    if args.json:
-        text = json.dumps(obs.registry_to_json(registry), indent=2) + "\n"
-    else:
-        text = obs.registry_to_prometheus(registry)
-    _emit(text, args.out)
+    _emit(_metrics_text(args.json), args.out)
 
 
 def _cmd_trace(args) -> None:
@@ -760,6 +730,15 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--out", default=None, metavar="FILE",
         help="write the report to FILE instead of stdout",
+    )
+
+
+def _add_metrics_out_flag(p: argparse.ArgumentParser, what: str) -> None:
+    """``--metrics-out FILE``: where :func:`_write_metrics` dumps."""
+    p.add_argument(
+        "--metrics-out", default=None, metavar="FILE",
+        help=f"{what} (Prometheus text, or a JSON snapshot for .json "
+             "files)",
     )
 
 
@@ -848,11 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--agents", type=int, default=40)
     p.add_argument("--shards", type=int, default=4)
-    p.add_argument(
-        "--metrics-out", default=None, metavar="FILE",
-        help="write the run's metrics snapshot (Prometheus text, or a "
-             "JSON snapshot for .json files)",
-    )
+    _add_metrics_out_flag(p, "write the run's metrics snapshot")
     p.add_argument(
         "--history", default=None, metavar="FILE",
         help="append a validated 'soak' record to this bench-history "
@@ -903,11 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--refresh", type=float, default=600.0,
         help="hybrid trigger's staleness-bounded full refresh (seconds)",
     )
-    p.add_argument(
-        "--metrics-out", default=None, metavar="FILE",
-        help="write the headline run's metrics snapshot (Prometheus "
-             "text, or a JSON snapshot for .json files)",
-    )
+    _add_metrics_out_flag(p, "write the headline run's metrics snapshot")
     p.add_argument(
         "--history", default=None, metavar="FILE",
         help="append a validated 'stream' record to this bench-history "
@@ -945,11 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out", default=None, metavar="FILE",
         help="enable telemetry and write the span trace as JSONL",
     )
-    p.add_argument(
-        "--metrics-out", default=None, metavar="FILE",
-        help="enable telemetry and write the metrics dump "
-             "(Prometheus text, or a JSON snapshot for .json files)",
-    )
+    _add_metrics_out_flag(p, "enable telemetry and write the metrics dump")
     _add_output_flags(p)
 
     for name, help_text in (

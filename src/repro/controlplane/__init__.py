@@ -35,7 +35,7 @@ from .watcher import (
     shard_link,
 )
 from .hybrid import HybridPlan, exposure_after_failure, plan_hybrid_sync
-from .publisher import ResumablePublisher
+from .publisher import ResumablePublisher, SyncFleet
 from .database import (
     QueryRejected,
     SHARD_CAPACITY_QPS,
@@ -79,6 +79,7 @@ __all__ = [
     "config_key",
     "EndpointAgent",
     "ResumablePublisher",
+    "SyncFleet",
     "ConvergenceReport",
     "spread_offsets",
     "simulate_convergence",

@@ -1,4 +1,4 @@
-"""Resumable config publishing through a (possibly faulty) TE store.
+"""The sync plane on the simulated clock: publisher, store, agent fleet.
 
 :class:`~repro.controlplane.controller.TEController` publishes a version
 by writing every endpoint config first and the version key strictly
@@ -8,17 +8,25 @@ sequence*; :class:`ResumablePublisher` keeps that ordering invariant
 while surviving the faults: failed writes stay queued and resume on the
 next pump, and a newer publish supersedes a stalled one.
 
-Shared by the chaos study (:mod:`repro.experiments.chaos_sync`) and the
-soak engine (:mod:`repro.simulation.soak`), which both drive a fleet of
-agents against a fault-wrapped database on the simulated clock.
+:class:`SyncFleet` is the whole plane — a fault-wrapped sharded store,
+the publisher, a fleet of retrying endpoint agents and the shard-health
+monitor — advanced one tick at a time with the sync invariants checked
+on every tick.  The chaos study (:mod:`repro.experiments.chaos_sync`)
+and the soak engine (:mod:`repro.simulation.soak`) both drive it; each
+keeps its own sampling statistics.
 """
 
 from __future__ import annotations
 
+from .agent import EndpointAgent, RetryPolicy
+from .consistency import spread_offsets
 from .controller import EndpointConfig, VERSION_KEY, config_key
 from .database import SyncError, TEDatabase
+from .failover import orchestrate_shard_failover
+from .faults import FaultPlan, FaultyTEDatabase
+from .watcher import ShardHealthMonitor
 
-__all__ = ["ResumablePublisher"]
+__all__ = ["ResumablePublisher", "SyncFleet"]
 
 
 class ResumablePublisher:
@@ -78,3 +86,104 @@ class ResumablePublisher:
             return  # version flip resumes next tick
         self.published_version = stored
         self._flip_pending = False
+
+
+class SyncFleet:
+    """Fault-wrapped store, resumable publisher and retrying agent fleet.
+
+    Each :meth:`tick` runs failover (detect → re-shard → reconcile, when
+    ``manage_failover``) → pump → poll, then checks three invariants:
+    no agent is newer than published, no agent rolls back, and no agent
+    vouches for (``serving_paths``) a config past its staleness bound.
+    Breaches land in :attr:`violations`; a healthy plane leaves it empty.
+    """
+
+    def __init__(
+        self,
+        plan: FaultPlan,
+        num_agents: int,
+        num_shards: int,
+        poll_period_s: float,
+        staleness_slo_s: float,
+        seed: int = 0,
+        manage_failover: bool = True,
+    ) -> None:
+        self.database = FaultyTEDatabase(
+            TEDatabase(
+                num_shards=num_shards,
+                shard_capacity_qps=1_000_000,
+                enforce_capacity=True,
+            ),
+            plan,
+        )
+        offsets = spread_offsets(num_agents, poll_period_s, seed=seed)
+        self.agents = [
+            EndpointAgent(
+                endpoint_id=e,
+                poll_period_s=poll_period_s,
+                poll_offset_s=float(offsets[e]),
+                retry_policy=RetryPolicy(
+                    max_retries=3,
+                    backoff_base_s=0.2,
+                    backoff_cap_s=2.0,
+                    poll_budget_s=poll_period_s / 2.0,
+                    seed=seed,
+                ),
+                max_staleness_s=staleness_slo_s,
+            )
+            for e in range(num_agents)
+        ]
+        self.monitor = ShardHealthMonitor(down_after=2, up_after=1)
+        self.publisher = ResumablePublisher(self.database, num_agents)
+        self.manage_failover = manage_failover
+        self.violations: list[str] = []
+        self.resharded_keys = 0
+        self._versions = [0] * num_agents
+
+    def converged_fraction(self) -> float:
+        """Share of agents on the newest published version."""
+        published = self.publisher.published_version
+        on = sum(a.local_version == published for a in self.agents)
+        return on / len(self.agents) if self.agents else 1.0
+
+    def tick(self, now: float, until_converged: bool = False) -> bool:
+        """Failover → pump → poll, then check the invariants.
+
+        With ``until_converged`` (a clear-weather grace tick) the poll
+        is skipped once every agent is on the published version; the
+        return value says whether it was.
+        """
+        if self.manage_failover:
+            self.resharded_keys += orchestrate_shard_failover(
+                self.database, now, monitor=self.monitor
+            ).resharded_keys
+        self.publisher.pump(now)
+        if until_converged and self.converged_fraction() == 1.0:
+            return True
+        for agent in self.agents:
+            agent.maybe_poll(self.database, now=now)
+        published = self.publisher.published_version
+        for idx, agent in enumerate(self.agents):
+            version = agent.local_version
+            if version > published:
+                self.violations.append(
+                    f"t={now:.0f}s agent {idx} at v{version} "
+                    f"> published v{published}"
+                )
+            if version < self._versions[idx]:
+                self.violations.append(
+                    f"t={now:.0f}s agent {idx} rolled back "
+                    f"v{self._versions[idx]} -> v{version}"
+                )
+            self._versions[idx] = version
+            staleness = agent.staleness_s(now)
+            if (
+                staleness > agent.max_staleness_s
+                and agent.serving_paths(now) is not None
+            ):
+                self.violations.append(
+                    f"t={now:.0f}s agent {idx} served a config "
+                    f"{staleness:.1f}s stale past its "
+                    f"{agent.max_staleness_s:.1f}s bound"
+                )
+        return False

@@ -46,6 +46,7 @@ __all__ = [
     "BenchHistoryError",
     "validate_history_record",
     "config_name_of",
+    "scale_label",
     "record_kind_of",
     "ssp_backend_of",
     "load_history",
@@ -169,14 +170,16 @@ def config_name_of(record: dict) -> str:
         return name
     config = record.get("config", {})
     topology = config.get("topology_name", "unknown")
-    endpoints = config.get("total_endpoints", 0)
+    return f"{topology}-{scale_label(config.get('total_endpoints', 0))}"
+
+
+def scale_label(endpoints: int) -> str:
+    """An endpoint count abbreviated for trajectory names (``20k``, ``1m``)."""
     if endpoints and endpoints % 1_000_000 == 0:
-        scale = f"{endpoints // 1_000_000}m"
-    elif endpoints and endpoints % 1_000 == 0:
-        scale = f"{endpoints // 1_000}k"
-    else:
-        scale = str(endpoints)
-    return f"{topology}-{scale}"
+        return f"{endpoints // 1_000_000}m"
+    if endpoints and endpoints % 1_000 == 0:
+        return f"{endpoints // 1_000}k"
+    return str(endpoints)
 
 
 class BenchHistoryError(ValueError):

@@ -12,10 +12,13 @@ counterpart of Fig. 16.
 
 The whole simulation is deterministic from its seed: fault schedules,
 error coins, retry jitter, and poll offsets all derive from explicit
-seeds, and time is the simulation clock.  Invariants are checked *inside*
-the loop on every sample (never-newer-than-published, monotone versions,
-staleness bound honoured) and surface in the row, so the chaos property
-suite and the bench share one harness.
+seeds, and time is the simulation clock.  The plane itself is
+:class:`~repro.controlplane.publisher.SyncFleet` — the same fleet the
+soak engine drives — which checks the sync invariants *inside* the loop
+on every tick (never-newer-than-published, monotone versions, staleness
+bound honoured); breaches surface in the row, so the chaos property
+suite and the bench share one harness.  This module owns the publish
+schedule, the clear-weather grace, and the sampling statistics.
 """
 
 from __future__ import annotations
@@ -28,13 +31,8 @@ from ..controlplane import (
     EndpointAgent,
     FaultPlan,
     FaultyTEDatabase,
-    ResumablePublisher,
-    RetryPolicy,
-    ShardHealthMonitor,
-    orchestrate_shard_failover,
-    spread_offsets,
+    SyncFleet,
 )
-from ..controlplane.database import TEDatabase
 from ..obs import get_registry, get_tracer
 
 __all__ = ["ChaosSyncRow", "ChaosSimResult", "simulate", "run"]
@@ -109,12 +107,6 @@ class ChaosSimResult:
     violations: list[str] = field(default_factory=list)
 
 
-# The resumable publisher grew out of this study and now lives in
-# controlplane (the soak engine drives the same machinery); the alias
-# keeps this module's historical name working.
-_Publisher = ResumablePublisher
-
-
 def simulate(
     intensity: float,
     seed: int = 0,
@@ -145,55 +137,30 @@ def simulate(
     """
     if staleness_slo_s is None:
         staleness_slo_s = 3.0 * poll_period_s
-    inner = TEDatabase(
+    fleet = SyncFleet(
+        FaultPlan.generate(
+            seed=seed,
+            num_shards=num_shards,
+            horizon_s=horizon_s,
+            intensity=intensity,
+        ),
+        num_agents=num_agents,
         num_shards=num_shards,
-        shard_capacity_qps=1_000_000,
-        enforce_capacity=True,
-    )
-    plan = FaultPlan.generate(
+        poll_period_s=poll_period_s,
+        staleness_slo_s=staleness_slo_s,
         seed=seed,
-        num_shards=num_shards,
-        horizon_s=horizon_s,
-        intensity=intensity,
+        manage_failover=manage_failover,
     )
-    database = FaultyTEDatabase(inner, plan)
-    offsets = spread_offsets(num_agents, poll_period_s, seed=seed)
-    agents = [
-        EndpointAgent(
-            endpoint_id=e,
-            poll_period_s=poll_period_s,
-            poll_offset_s=float(offsets[e]),
-            retry_policy=RetryPolicy(
-                max_retries=3,
-                backoff_base_s=0.2,
-                backoff_cap_s=2.0,
-                poll_budget_s=poll_period_s / 2.0,
-                seed=seed,
-            ),
-            max_staleness_s=staleness_slo_s,
-        )
-        for e in range(num_agents)
-    ]
-    monitor = ShardHealthMonitor(down_after=2, up_after=1)
-    publisher = _Publisher(database, num_agents)
+    agents = fleet.agents
 
-    violations: list[str] = []
-    prev_versions = [0] * num_agents
     samples: list[float] = []
     fresh_samples = 0
-    total_samples = 0
-    resharded = 0
     warmup_s = poll_period_s + tick_s
 
     next_publish = 0.0
     publish_count = 0
     t = 0.0
     while t <= horizon_s:
-        if manage_failover:
-            report = orchestrate_shard_failover(
-                database, t, monitor=monitor
-            )
-            resharded += report.resharded_keys
         # Publish on schedule, but leave the fleet at least one poll
         # period to converge on the final version before the horizon.
         if (
@@ -201,38 +168,14 @@ def simulate(
             and t <= horizon_s - poll_period_s - tick_s
         ):
             publish_count += 1
-            publisher.start(publish_count)
+            fleet.publisher.start(publish_count)
             next_publish += publish_period_s
-        publisher.pump(t)
-        for agent in agents:
-            agent.maybe_poll(database, now=t)
-        published = publisher.published_version
-        for idx, agent in enumerate(agents):
-            if agent.local_version > published:
-                violations.append(
-                    f"t={t:.0f}s agent {idx} at v{agent.local_version} "
-                    f"> published v{published}"
-                )
-            if agent.local_version < prev_versions[idx]:
-                violations.append(
-                    f"t={t:.0f}s agent {idx} rolled back "
-                    f"v{prev_versions[idx]} -> v{agent.local_version}"
-                )
-            prev_versions[idx] = agent.local_version
-            if t < warmup_s:
-                continue
-            staleness = agent.staleness_s(t)
-            samples.append(staleness)
-            total_samples += 1
-            serving = agent.serving_paths(t)
-            if serving is not None:
-                fresh_samples += 1
-                if staleness > agent.max_staleness_s:
-                    violations.append(
-                        f"t={t:.0f}s agent {idx} served a config "
-                        f"{staleness:.1f}s stale past its "
-                        f"{agent.max_staleness_s:.1f}s bound"
-                    )
+        fleet.tick(t)
+        if t >= warmup_s:
+            for agent in agents:
+                samples.append(agent.staleness_s(t))
+                if agent.serving_paths(t) is not None:
+                    fresh_samples += 1
         t += tick_s
 
     # Every row metric is measured within the horizon — snapshot them
@@ -240,7 +183,8 @@ def simulate(
     failed = sum(a.failed_polls for a in agents)
     total_retries = sum(a.retries for a in agents)
     total_regressions = sum(a.version_regressions for a in agents)
-    total_injected = database.injected.total_injected
+    total_injected = fleet.database.injected.total_injected
+    resharded = fleet.resharded_keys
 
     # Clear-weather convergence grace.  The claim under test is that the
     # fleet converges on the final version *once the weather clears*:
@@ -251,31 +195,11 @@ def simulate(
     # past the horizon (no new publishes, no metric samples) until the
     # fleet catches up, invariants checked throughout.
     grace_end = horizon_s + 10.0 * poll_period_s
-    while t <= grace_end:
-        if manage_failover:
-            orchestrate_shard_failover(database, t, monitor=monitor)
-        publisher.pump(t)
-        published = publisher.published_version
-        if all(a.local_version == published for a in agents):
-            break
-        for agent in agents:
-            agent.maybe_poll(database, now=t)
-        published = publisher.published_version
-        for idx, agent in enumerate(agents):
-            if agent.local_version > published:
-                violations.append(
-                    f"t={t:.0f}s agent {idx} at v{agent.local_version} "
-                    f"> published v{published}"
-                )
-            if agent.local_version < prev_versions[idx]:
-                violations.append(
-                    f"t={t:.0f}s agent {idx} rolled back "
-                    f"v{prev_versions[idx]} -> v{agent.local_version}"
-                )
-            prev_versions[idx] = agent.local_version
+    while t <= grace_end and not fleet.tick(t, until_converged=True):
         t += tick_s
 
-    published = publisher.published_version
+    total_samples = len(samples)
+    published = fleet.publisher.published_version
     staleness_arr = np.asarray(samples, dtype=np.float64)
     finite = staleness_arr[np.isfinite(staleness_arr)]
     slots_per_agent = max(
@@ -310,19 +234,14 @@ def simulate(
             if staleness_arr.size
             else 0.0
         ),
-        final_converged_fraction=(
-            sum(a.local_version == published for a in agents)
-            / num_agents
-            if num_agents
-            else 1.0
-        ),
+        final_converged_fraction=fleet.converged_fraction(),
         publishes=published,
         failed_polls=failed,
         retries=total_retries,
         version_regressions=total_regressions,
         injected_faults=total_injected,
         resharded_keys=resharded,
-        invariant_violations=len(violations),
+        invariant_violations=len(fleet.violations),
     )
     registry = get_registry()
     if registry.enabled:
@@ -345,10 +264,10 @@ def simulate(
     return ChaosSimResult(
         row=row,
         agents=agents,
-        database=database,
+        database=fleet.database,
         published_version=published,
         staleness_samples=staleness_arr,
-        violations=violations,
+        violations=fleet.violations,
     )
 
 

@@ -29,7 +29,9 @@ from ..simulation.soak import (
     scenario_events,
 )
 from ..traffic import DiurnalSequence
-from .bench_history import append_history_record, validate_history_record
+from .bench_history import (
+    append_history_record, scale_label, validate_history_record,
+)
 from .common import build_scenario
 
 __all__ = [
@@ -77,15 +79,9 @@ def soak_config(scenario: str = "full-mix", **overrides) -> dict:
 
 def soak_config_name(cfg: dict) -> str:
     """The history trajectory name of a soak config."""
-    endpoints = cfg["total_endpoints"]
-    if endpoints and endpoints % 1_000_000 == 0:
-        scale = f"{endpoints // 1_000_000}m"
-    elif endpoints and endpoints % 1_000 == 0:
-        scale = f"{endpoints // 1_000}k"
-    else:
-        scale = str(endpoints)
     return (
-        f"soak-{cfg['scenario']}-{cfg['topology_name']}-{scale}"
+        f"soak-{cfg['scenario']}-{cfg['topology_name']}"
+        f"-{scale_label(cfg['total_endpoints'])}"
         f"-{cfg['num_intervals']}i-s{cfg['seed']}"
         f"-r{SOAK_CONFIG_REVISION}"
     )

@@ -41,7 +41,9 @@ from ..simulation.streaming import (
     run_stream,
     stream_scenario_events,
 )
-from .bench_history import append_history_record, validate_history_record
+from .bench_history import (
+    append_history_record, scale_label, validate_history_record,
+)
 from .common import build_scenario
 
 __all__ = [
@@ -86,16 +88,10 @@ def stream_config(scenario: str = "flash-crowd", **overrides) -> dict:
 
 def stream_config_name(cfg: dict, trigger: str = "hybrid") -> str:
     """The history trajectory name of a stream config."""
-    endpoints = cfg["total_endpoints"]
-    if endpoints and endpoints % 1_000_000 == 0:
-        scale = f"{endpoints // 1_000_000}m"
-    elif endpoints and endpoints % 1_000 == 0:
-        scale = f"{endpoints // 1_000}k"
-    else:
-        scale = str(endpoints)
     return (
         f"stream-{cfg['scenario']}-{trigger}-{cfg['topology_name']}"
-        f"-{scale}-{cfg['num_epochs']}e-s{cfg['seed']}"
+        f"-{scale_label(cfg['total_endpoints'])}"
+        f"-{cfg['num_epochs']}e-s{cfg['seed']}"
     )
 
 

@@ -16,13 +16,41 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..topology.failures import FailureScenario
+
 if TYPE_CHECKING:
     from ..core.types import TEResult
     from ..topology.contraction import TwoLayerTopology
-    from ..topology.failures import FailureScenario
     from ..traffic.demand import DemandMatrix
 
-__all__ = ["FailureStudyOutcome", "run_failure_study", "surviving_volume"]
+__all__ = [
+    "FailureStudyOutcome",
+    "degraded_topology",
+    "run_failure_study",
+    "surviving_volume",
+]
+
+
+def degraded_topology(
+    topology: "TwoLayerTopology",
+    fibers,
+    cache: dict | None = None,
+) -> "TwoLayerTopology":
+    """``topology`` with every duplex fiber in ``fibers`` failed.
+
+    Memoized in ``cache`` by fiber set: a repeat failure reuses one
+    topology object, keeping per-topology solver caches effective.
+    """
+    key = tuple(sorted(fibers))
+    if not key:
+        return topology
+    if cache is None:
+        cache = {}
+    if key not in cache:
+        cache[key] = topology.with_failures(
+            FailureScenario(fibers=key).failed_links
+        )
+    return cache[key]
 
 
 @dataclass(frozen=True)
@@ -102,8 +130,9 @@ def run_failure_study(
     """
     before = solver.solve(topology, demands)
     failed = set(scenario.failed_links)
-    degraded_topology = topology.with_failures(scenario.failed_links)
-    after = solver.solve(degraded_topology, demands)
+    after = solver.solve(
+        degraded_topology(topology, scenario.fibers), demands
+    )
 
     window = (
         recompute_seconds

@@ -5,9 +5,13 @@ a TE scheme interval by interval, realizing each allocation on the network
 and collecting the time series the production studies report: satisfied
 demand, delivered volume, per-class latency, peak utilization.
 
-Optionally solves each interval on the *previous* interval's demands (the
-paper's weak coupling — the controller only knows what it measured) or on
-a predictor's forecast, quantifying the staleness cost.
+The loop itself is :func:`repro.simulation.streaming.control_loop` fed
+one whole-matrix event per interval under a zero-threshold delta
+trigger (solve whenever anything moved).  Stale measured inputs — the
+paper's weak coupling, where the controller only knows what it
+measured — are the loop's one-epoch actuation delay: the allocation
+serving interval ``n`` was solved on interval ``n-1``'s demands.
+Forecast-driven solving lives in the stream loop's predictor.
 """
 
 from __future__ import annotations
@@ -18,16 +22,21 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from ..core.qos import QoSClass
-from ..core.types import TEResult
 from ..obs import get_registry, get_tracer
-from .flowsim import simulate
 from .latency import compute_flow_latencies
+from .streaming import DeltaTrigger, MatrixSet, control_loop
 
 if TYPE_CHECKING:
     from ..topology.contraction import TwoLayerTopology
     from ..traffic.demand import DemandMatrix
 
 __all__ = ["IntervalRecord", "IntervalSeries", "run_intervals"]
+
+#: The flow-identity columns every interval must share with the first
+#: (the loop carries only volumes from one interval to the next).
+_FLOW_COLUMNS = (
+    "offsets", "qos", "src_endpoints", "dst_endpoints", "has_endpoints"
+)
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,8 @@ class IntervalRecord:
             delivered end to end (differs when solving on stale demands).
         qos1_latency_ms: Volume-weighted class-1 latency.
         max_utilization: Peak link utilization.
-        runtime_s: Solver runtime.
+        runtime_s: Runtime of the solve issued this interval (0 when
+            no site-pair total moved and no solve ran).
     """
 
     interval: int
@@ -88,82 +98,80 @@ def run_intervals(
     matrices: Iterable["DemandMatrix"],
     solver,
     stale_inputs: bool = False,
-    predictor=None,
 ) -> IntervalSeries:
     """Run a TE scheme across a sequence of intervals.
 
     Args:
         topology: The (static) topology.
-        matrices: One demand matrix per interval, in order.
+        matrices: One demand matrix per interval, in order; all share
+            one flow layout, QoS and endpoint columns (only volumes
+            change), else :class:`ValueError`.
         solver: Any scheme with ``solve(topology, demands) -> TEResult``.
-        stale_inputs: Solve interval ``n`` on interval ``n-1``'s demands,
-            as the measurement-driven production loop does (interval 0
-            uses its own demands as a bootstrap).
-        predictor: Optional predictor with ``observe``/``predict``;
-            overrides ``stale_inputs`` — each interval is solved on the
-            predictor's forecast, then the actual matrix is observed.
+        stale_inputs: Serve interval ``n`` with the allocation solved on
+            interval ``n-1``'s demands, as the measurement-driven
+            production loop does (interval 0 uses its own demands as a
+            bootstrap).
 
     Returns:
         An :class:`IntervalSeries`; each record's delivered fraction is
-        measured against the interval's *actual* traffic.
+        measured against the interval's *actual* traffic.  An interval
+        where no site-pair total moved is not re-solved: the previous
+        allocation serves it and its ``runtime_s`` is 0.
     """
+    matrices = list(matrices)
     series = IntervalSeries()
-    # A run is one fresh control loop: an incremental solver must not
-    # inherit carried state from whatever drove it before this call.
-    reset = getattr(solver, "reset_incremental_state", None)
-    if callable(reset):
-        reset()
-    previous: "DemandMatrix | None" = None
+    if not matrices:
+        return series
+    first = matrices[0].table
+    for n, matrix in enumerate(matrices):
+        table = matrix.table
+        for column in _FLOW_COLUMNS:
+            a, b = getattr(table, column), getattr(first, column)
+            if a is not b and not np.array_equal(a, b):
+                raise ValueError(
+                    "interval matrices must keep flow identities "
+                    f"(interval {n} changed {column})"
+                )
+    epochs = control_loop(
+        topology,
+        matrices[0],
+        (
+            MatrixSet(time=float(n), volumes=m.table.volumes)
+            for n, m in enumerate(matrices)
+        ),
+        len(matrices),
+        1.0,
+        DeltaTrigger(threshold=0.0),
+        solver,
+        delay=int(stale_inputs),
+    )
     tracer = get_tracer()
-    for n, actual in enumerate(matrices):
+    registry = get_registry()
+    for n in range(len(matrices)):
         with tracer.span("sim.interval", interval=n) as sp:
-            if predictor is not None:
-                try:
-                    solve_on = predictor.predict()
-                except RuntimeError:
-                    solve_on = actual
-            elif stale_inputs and previous is not None:
-                solve_on = previous
-            else:
-                solve_on = actual
-            result = solver.solve(topology, solve_on)
-            for k, pair in enumerate(actual):
-                if result.assignment.per_pair[k].size != pair.num_pairs:
-                    raise ValueError(
-                        "interval matrices must keep flow identities "
-                        f"(site pair {k} changed size)"
-                    )
-            realized = TEResult(
-                scheme=result.scheme,
-                assignment=result.assignment,
-                demands=actual,
-                satisfied_volume=result.satisfied_volume,
-                runtime_s=result.runtime_s,
-                site_allocation=result.site_allocation,
-                stats=result.stats,
-            )
-            outcome = simulate(topology, realized)
+            ep = next(epochs)
             latencies = compute_flow_latencies(
-                topology, realized, metric="ms"
+                topology, ep.realized, metric="ms"
             )
-            total = actual.total_demand
+            total = ep.raw.total_demand
             record = IntervalRecord(
                 interval=n,
-                planned_satisfied=result.satisfied_fraction,
+                planned_satisfied=ep.actuated.satisfied_fraction,
                 delivered_fraction=(
-                    outcome.delivered_volume / total if total > 0 else 1.0
+                    ep.sim.delivered_volume / total if total > 0 else 1.0
                 ),
                 qos1_latency_ms=latencies.volume_weighted_mean(
                     QoSClass.CLASS1
                 ),
-                max_utilization=outcome.max_utilization,
-                runtime_s=result.runtime_s,
+                max_utilization=ep.sim.max_utilization,
+                runtime_s=(
+                    ep.result.runtime_s if ep.result is not None else 0.0
+                ),
             )
             series.records.append(record)
             sp.set_attribute(
                 "delivered_fraction", record.delivered_fraction
             )
-            registry = get_registry()
             if registry.enabled:
                 registry.counter(
                     "megate_sim_intervals_total",
@@ -177,7 +185,4 @@ def run_intervals(
                     "megate_sim_max_utilization",
                     "Highest link utilization in the latest interval",
                 ).set(record.max_utilization)
-            if predictor is not None:
-                predictor.observe(actual)
-            previous = actual
     return series

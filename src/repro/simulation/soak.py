@@ -9,14 +9,21 @@ hold up through *sustained, overlapping* disturbance.  This module
 replays a long run of TE intervals with a scenario matrix of seeded
 events firing on schedules, all four planes live at once:
 
-* **solver** — every interval solves on the current (possibly degraded)
-  topology through a caller-supplied optimizer, typically with the
-  incremental engine active;
-* **data plane** — the assignment is realized by the flow simulator, so
-  overload during a flash crowd shows up as lost delivered volume;
-* **sync plane** — a fleet of retrying endpoint agents polls a
-  fault-wrapped TE database while a resumable publisher pushes one
-  config version per interval and shard failover runs every tick;
+* **solver** — the stream loop
+  (:func:`repro.simulation.streaming.control_loop`) solves every
+  interval on the current (possibly degraded) topology through a
+  caller-supplied optimizer, typically with the incremental engine
+  active: the schedule compiles into one whole-matrix event per
+  interval plus one topology event per change of the cut fibers, and
+  the loop runs lockstep (zero-threshold delta trigger, no actuation
+  delay);
+* **data plane** — the loop realizes each assignment with the flow
+  simulator, so overload during a flash crowd shows up as lost
+  delivered volume;
+* **sync plane** — a :class:`~repro.controlplane.publisher.SyncFleet`
+  of retrying endpoint agents polls a fault-wrapped TE database while
+  its resumable publisher pushes one config version per interval and
+  shard failover runs every tick — the chaos study's fleet;
 * **telemetry** — the obs registry is *always on* for the run, because
   the run's verdict — the :class:`SLOReport` — is computed from the
   Prometheus snapshot, not from privileged internal state.
@@ -43,17 +50,22 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
 from ..core import MegaTEOptimizer
-from ..core.flowtable import FlowTable
-from ..obs import get_registry, get_tracer
 from ..topology.failures import sample_failure_scenarios
 from ..traffic import DiurnalSequence
 from ..traffic.demand import DemandMatrix
-from .flowsim import simulate
+from .streaming import (
+    DeltaTrigger,
+    MatrixSet,
+    StreamEvent,
+    TopologyChange,
+    control_loop,
+    owned_registry,
+)
 
 __all__ = [
     "SoakEvent",
@@ -67,6 +79,7 @@ __all__ = [
     "SLOViolation",
     "SoakIntervalRecord",
     "SoakReport",
+    "compile_schedule",
     "run_soak",
     "scenario_events",
     "snapshot_counter_total",
@@ -717,15 +730,51 @@ def _scaled_matrix(
             else event.residual
         )
         mult[mask] *= factor
-    scaled = FlowTable(
-        offsets=table.offsets,
-        volumes=table.volumes * mult,
-        qos=table.qos,
-        src_endpoints=table.src_endpoints,
-        dst_endpoints=table.dst_endpoints,
-        has_endpoints=table.has_endpoints,
-    )
-    return DemandMatrix.from_table(scaled)
+    return matrix.with_volumes(table.volumes * mult)
+
+
+def compile_schedule(
+    topology,
+    sequence: DiurnalSequence,
+    num_intervals: int,
+    events: Sequence[SoakEvent] = (),
+    interval_s: float = 300.0,
+) -> Iterator[StreamEvent]:
+    """Compile a soak schedule into the stream loop's events (lazily).
+
+    Interval ``i`` (at ``i * interval_s``) becomes one :class:`MatrixSet`
+    carrying exactly the volumes of ``sequence.matrix(i)`` scaled by the
+    active traffic events, preceded by one :class:`TopologyChange`
+    carrying the union of the active :class:`LinkCut` fibers whenever
+    that union changes (an empty union heals).  Each cut's fibers are
+    sampled once from the healthy site network.  Sync-plane events do
+    not touch the loop; they become the fleet's fault plan.
+    """
+    cut_fibers: dict[LinkCut, tuple] = {}
+    failed: set = set()
+    for interval in range(num_intervals):
+        active = [e for e in events if e.active(interval)]
+        fibers: set = set()
+        for event in active:
+            if isinstance(event, LinkCut):
+                if event not in cut_fibers:
+                    cut_fibers[event] = sample_failure_scenarios(
+                        topology.network,
+                        event.num_fibers,
+                        num_scenarios=1,
+                        seed=event.scenario_seed,
+                    )[0].fibers
+                fibers.update(cut_fibers[event])
+        t = interval * interval_s
+        if fibers != failed:
+            failed = fibers
+            yield TopologyChange(time=t, fibers=tuple(sorted(fibers)))
+        # Horizons longer than one diurnal cycle wrap around the day
+        # (interval N repeats interval N mod num_intervals).
+        matrix = _scaled_matrix(
+            sequence.matrix(interval % sequence.num_intervals), active
+        )
+        yield MatrixSet(time=t, volumes=matrix.table.volumes)
 
 
 # ---------------------------------------------------------------------------
@@ -751,14 +800,23 @@ def run_soak(
 ) -> SoakReport:
     """Replay ``num_intervals`` TE intervals under the event schedule.
 
-    The run *owns the metrics registry*: telemetry is force-enabled and
-    the registry reset at the start (the SLO report is computed from
-    the final snapshot), and the caller's previous enablement is
-    restored on exit — export the metrics before starting another run.
+    The schedule compiles into stream events (:func:`compile_schedule`)
+    that :func:`~repro.simulation.streaming.control_loop` drains
+    lockstep — a zero-threshold :class:`DeltaTrigger` and no actuation
+    delay, so every interval that moved is solved and served at once;
+    the loop's forced full solve on cut and heal intervals resets the
+    incremental engine there.  After each interval the config version
+    is published and the :class:`~repro.controlplane.publisher.SyncFleet`
+    advances across the interval tick by tick.
+
+    The run *owns the metrics registry*
+    (:func:`~repro.simulation.streaming.owned_registry`): the SLO
+    report is computed from the final snapshot — export the metrics
+    before starting another run.
 
     Args:
         topology: Healthy contracted two-layer topology; link cuts
-            solve on seeded degraded variants
+            solve on degraded variants
             (:meth:`~repro.topology.contraction.TwoLayerTopology.with_failures`,
             site-pair indices preserved).
         sequence: Demand sequence; interval ``i`` starts from
@@ -784,16 +842,7 @@ def run_soak(
     """
     # Imported lazily: controlplane.failover imports the simulation
     # package, so a module-level import here would close a cycle.
-    from ..controlplane import (
-        EndpointAgent,
-        FaultyTEDatabase,
-        ResumablePublisher,
-        RetryPolicy,
-        ShardHealthMonitor,
-        orchestrate_shard_failover,
-        spread_offsets,
-    )
-    from ..controlplane.database import TEDatabase
+    from ..controlplane import SyncFleet
 
     if num_intervals <= 0:
         raise ValueError("num_intervals must be positive")
@@ -803,80 +852,17 @@ def run_soak(
         staleness_slo_s = 3.0 * poll_period_s
     spec = slo_spec if slo_spec is not None else SLOSpec()
     events = tuple(events)
-
-    registry = get_registry()
-    tracer = get_tracer()
-    prior_enabled = registry.enabled
-    registry.enabled = True
-    registry.reset()
-
     if optimizer is None:
         optimizer = MegaTEOptimizer()
-    optimizer.reset_incremental_state()
 
-    # Sync plane: fault-wrapped store, resumable publisher, agent fleet.
-    plan = _fault_plan(events, interval_s, num_shards, seed)
-    database = FaultyTEDatabase(
-        TEDatabase(
-            num_shards=num_shards,
-            shard_capacity_qps=1_000_000,
-            enforce_capacity=True,
-        ),
-        plan,
+    fleet = SyncFleet(
+        _fault_plan(events, interval_s, num_shards, seed),
+        num_agents=num_agents,
+        num_shards=num_shards,
+        poll_period_s=poll_period_s,
+        staleness_slo_s=staleness_slo_s,
+        seed=seed,
     )
-    offsets = spread_offsets(num_agents, poll_period_s, seed=seed)
-    agents = [
-        EndpointAgent(
-            endpoint_id=e,
-            poll_period_s=poll_period_s,
-            poll_offset_s=float(offsets[e]),
-            retry_policy=RetryPolicy(
-                max_retries=3,
-                backoff_base_s=0.2,
-                backoff_cap_s=2.0,
-                poll_budget_s=poll_period_s / 2.0,
-                seed=seed,
-            ),
-            max_staleness_s=staleness_slo_s,
-        )
-        for e in range(num_agents)
-    ]
-    monitor = ShardHealthMonitor(down_after=2, up_after=1)
-    publisher = ResumablePublisher(database, num_agents)
-
-    intervals_c = registry.counter(
-        "megate_soak_intervals_total", "Soak intervals completed"
-    )
-    events_c = registry.counter(
-        "megate_soak_events_total",
-        "Soak event windows opened, by kind",
-        labelnames=("kind",),
-    )
-    samples_c = registry.counter(
-        "megate_soak_agent_samples_total",
-        "Post-warmup (agent, tick) freshness samples taken",
-    )
-    fresh_c = registry.counter(
-        "megate_soak_agent_fresh_samples_total",
-        "Samples whose agent served a config within its bound",
-    )
-    degraded_c = registry.counter(
-        "megate_soak_agent_degraded_samples_total",
-        "Samples whose agent was past its staleness bound",
-    )
-    floor_g = registry.gauge(
-        "megate_soak_delivered_fraction_floor",
-        "Worst per-interval delivered volume fraction so far",
-    )
-    # The agent's own staleness histogram only observes at poll
-    # completion (where a successful poll reads ~0); sampling every
-    # post-warmup tick measures *serving* staleness between polls,
-    # which is what the staleness SLO is about.
-    staleness_h = registry.histogram(
-        "megate_soak_agent_staleness_seconds",
-        "Sampled agent config staleness (simulated clock)",
-    )
-
     report = SoakReport(
         scenario=scenario,
         seed=seed,
@@ -889,20 +875,62 @@ def run_soak(
         assignment_digest="",
         slo_spec=spec,
     )
-
     digest = hashlib.sha256()
     delivered_floor = 1.0
-    resharded = 0
-    sync_violations: list[str] = []
-    prev_versions = [0] * num_agents
     warmup_s = poll_period_s + tick_s
     ticks_per_interval = max(1, int(round(interval_s / tick_s)))
-    cut_fibers: dict[LinkCut, tuple] = {}
-    degraded_topologies: dict[tuple, object] = {}
 
-    try:
-        for interval in range(num_intervals):
-            active = [e for e in events if e.active(interval)]
+    with owned_registry() as registry:
+        intervals_c = registry.counter(
+            "megate_soak_intervals_total", "Soak intervals completed"
+        )
+        events_c = registry.counter(
+            "megate_soak_events_total",
+            "Soak event windows opened, by kind",
+            labelnames=("kind",),
+        )
+        samples_c = registry.counter(
+            "megate_soak_agent_samples_total",
+            "Post-warmup (agent, tick) freshness samples taken",
+        )
+        fresh_c = registry.counter(
+            "megate_soak_agent_fresh_samples_total",
+            "Samples whose agent served a config within its bound",
+        )
+        degraded_c = registry.counter(
+            "megate_soak_agent_degraded_samples_total",
+            "Samples whose agent was past its staleness bound",
+        )
+        floor_g = registry.gauge(
+            "megate_soak_delivered_fraction_floor",
+            "Worst per-interval delivered volume fraction so far",
+        )
+        # The agent's own staleness histogram only observes at poll
+        # completion (where a successful poll reads ~0); sampling every
+        # post-warmup tick measures *serving* staleness between polls,
+        # which is what the staleness SLO is about.
+        staleness_h = registry.histogram(
+            "megate_soak_agent_staleness_seconds",
+            "Sampled agent config staleness (simulated clock)",
+        )
+
+        failed_fibers = 0
+        for ep in control_loop(
+            topology,
+            sequence.base,
+            compile_schedule(
+                topology, sequence, num_intervals, events, interval_s
+            ),
+            num_intervals,
+            interval_s,
+            DeltaTrigger(threshold=0.0),
+            optimizer,
+            delay=0,
+        ):
+            interval = ep.index
+            for event in ep.events:
+                if isinstance(event, TopologyChange):
+                    failed_fibers = len(event.fibers)
             for event in events:
                 if event.start == interval:
                     events_c.labels(kind=event.kind).inc()
@@ -910,107 +938,43 @@ def run_soak(
                         {"interval": interval, **event.describe()}
                     )
 
-            # Topology under the active link cuts (union of fibers);
-            # degraded variants are cached so repeat windows reuse one
-            # object — that is what keeps the per-topology solver cache
-            # and the incremental engine's revalidation effective.
-            fibers: set = set()
-            for event in active:
-                if isinstance(event, LinkCut):
-                    if event not in cut_fibers:
-                        scenario_obj = sample_failure_scenarios(
-                            topology.network,
-                            event.num_fibers,
-                            num_scenarios=1,
-                            seed=event.scenario_seed,
-                        )[0]
-                        cut_fibers[event] = scenario_obj.fibers
-                    fibers.update(cut_fibers[event])
-            if fibers:
-                key = tuple(sorted(fibers))
-                interval_topology = degraded_topologies.get(key)
-                if interval_topology is None:
-                    failed_links = [
-                        link
-                        for a, b in key
-                        for link in ((a, b), (b, a))
-                    ]
-                    interval_topology = topology.with_failures(
-                        failed_links
-                    )
-                    degraded_topologies[key] = interval_topology
-            else:
-                interval_topology = topology
-
-            # Horizons longer than one diurnal cycle wrap around the
-            # day (interval N repeats interval N mod num_intervals).
-            matrix = _scaled_matrix(
-                sequence.matrix(interval % sequence.num_intervals),
-                active,
-            )
-
-            with tracer.span(
-                "soak.interval",
-                interval=interval,
-                num_events=len(active),
-            ):
-                result = optimizer.solve(interval_topology, matrix)
-                outcome = simulate(interval_topology, result)
-
-            for arr in result.assignment.per_pair:
-                digest.update(arr.tobytes())
-            total = matrix.total_demand
+            runtime_s = 0.0
+            if ep.result is not None:
+                for arr in ep.result.assignment.per_pair:
+                    digest.update(arr.tobytes())
+                runtime_s = ep.result.runtime_s
+            total = ep.raw.total_demand
             delivered_fraction = (
-                outcome.delivered_volume / total if total > 0 else 1.0
+                ep.sim.delivered_volume / total if total > 0 else 1.0
             )
             delivered_floor = min(delivered_floor, delivered_fraction)
             floor_g.set(delivered_floor)
             intervals_c.inc()
-            report.total_runtime_s += result.runtime_s
+            report.total_runtime_s += runtime_s
             report.records.append(
                 SoakIntervalRecord(
                     interval=interval,
                     delivered_fraction=delivered_fraction,
-                    satisfied_fraction=result.satisfied_fraction,
-                    max_utilization=outcome.max_utilization,
-                    events=tuple(e.kind for e in active),
-                    failed_fibers=len(fibers),
-                    runtime_s=result.runtime_s,
+                    satisfied_fraction=ep.actuated.satisfied_fraction,
+                    max_utilization=ep.sim.max_utilization,
+                    events=tuple(e.kind for e in events if e.active(interval)),
+                    failed_fibers=failed_fibers,
+                    runtime_s=runtime_s,
                 )
             )
 
             # Publish the interval's config version, then advance the
             # sync plane across the interval on the simulated clock.
-            publisher.start(interval + 1)
+            fleet.publisher.start(interval + 1)
             t0 = interval * interval_s
             for tick in range(ticks_per_interval):
                 t = t0 + tick * tick_s
-                failover = orchestrate_shard_failover(
-                    database, t, monitor=monitor
-                )
-                resharded += failover.resharded_keys
-                publisher.pump(t)
-                for agent in agents:
-                    agent.maybe_poll(database, now=t)
-                published = publisher.published_version
+                fleet.tick(t)
+                if t < warmup_s:
+                    continue
                 fresh = 0
                 degraded = 0
-                for idx, agent in enumerate(agents):
-                    if agent.local_version > published:
-                        sync_violations.append(
-                            f"t={t:.0f}s agent {idx} at "
-                            f"v{agent.local_version} > published "
-                            f"v{published}"
-                        )
-                    if agent.local_version < prev_versions[idx]:
-                        sync_violations.append(
-                            f"t={t:.0f}s agent {idx} rolled back "
-                            f"v{prev_versions[idx]} -> "
-                            f"v{agent.local_version}"
-                        )
-                    prev_versions[idx] = agent.local_version
-                    if t < warmup_s:
-                        continue
+                for agent in fleet.agents:
                     if agent.serving_paths(t) is not None:
                         fresh += 1
                     if agent.is_degraded(t):
@@ -1018,45 +982,36 @@ def run_soak(
                     staleness = agent.staleness_s(t)
                     if math.isfinite(staleness):
                         staleness_h.observe(staleness)
-                if t >= warmup_s:
-                    samples_c.inc(num_agents)
-                    fresh_c.inc(fresh)
-                    degraded_c.inc(degraded)
-    finally:
-        registry.enabled = prior_enabled
+                samples_c.inc(num_agents)
+                fresh_c.inc(fresh)
+                degraded_c.inc(degraded)
 
-    # Run-end bookkeeping folded into the registry *before* the
-    # snapshot the SLO report is computed from.
-    registry.enabled = True
-    published = publisher.published_version
-    converged = (
-        sum(a.local_version == published for a in agents) / num_agents
-        if num_agents
-        else 1.0
-    )
-    registry.gauge(
-        "megate_soak_final_converged_fraction",
-        "Agents on the newest published version at the horizon",
-    ).set(converged)
-    registry.counter(
-        "megate_soak_resharded_keys_total",
-        "Keys migrated off crashed shards during the run",
-    ).inc(resharded)
-    registry.counter(
-        "megate_soak_injected_faults_total",
-        "Store faults injected across the run (all classes)",
-    ).inc(database.injected.total_injected)
-    snapshot = registry.snapshot()
-    registry.enabled = prior_enabled
+        # Run-end bookkeeping folded into the registry *before* the
+        # snapshot the SLO report is computed from.
+        converged = fleet.converged_fraction()
+        injected = fleet.database.injected.total_injected
+        registry.gauge(
+            "megate_soak_final_converged_fraction",
+            "Agents on the newest published version at the horizon",
+        ).set(converged)
+        registry.counter(
+            "megate_soak_resharded_keys_total",
+            "Keys migrated off crashed shards during the run",
+        ).inc(fleet.resharded_keys)
+        registry.counter(
+            "megate_soak_injected_faults_total",
+            "Store faults injected across the run (all classes)",
+        ).inc(injected)
+        snapshot = registry.snapshot()
 
     report.assignment_digest = digest.hexdigest()
-    report.publishes = published
+    report.publishes = fleet.publisher.published_version
     report.final_converged_fraction = converged
-    report.resharded_keys = resharded
-    report.injected_faults = database.injected.total_injected
+    report.resharded_keys = fleet.resharded_keys
+    report.injected_faults = injected
     report.slo = SLOReport.from_snapshot(snapshot)
     report.violations = report.slo.violations(spec)
     report.violations.extend(
-        f"sync invariant: {v}" for v in sync_violations[:10]
+        f"sync invariant: {v}" for v in fleet.violations[:10]
     )
     return report

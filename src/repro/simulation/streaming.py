@@ -1,15 +1,19 @@
-"""Streaming control loop: event-driven demands and re-solve triggers.
+"""The online control loop: event-driven demands and re-solve triggers.
 
-Everything else in the repro is lockstep: :mod:`.interval_runner` and
-the soak engine advance a matrix sequence and solve every interval.
-Real endpoints emit demand *events* — flows arrive, depart, change
-volume, burst — and the controller's real decision is *when* a solve
-is worth it.  This module models that loop:
+MegaTE's controller is one loop: each epoch it observes demands, maybe
+solves, and the data plane realizes whatever allocation is actuated.
+:func:`control_loop` is that loop, and every time-stepped harness is a
+configuration of it — :func:`run_stream` (a demand event stream under a
+trigger, one-epoch actuation delay), the soak engine (its schedule
+compiled into events, lockstep, sync plane alongside) and the interval
+runner (one whole-matrix event per interval, delayed when its inputs
+are stale).  The controller's real decision is *when* a solve is worth
+it, modeled with:
 
 * a deterministic seeded **event stream** of per-site-pair updates
-  (:class:`VolumeScale`, :class:`VolumeSet`, :class:`FlowArrival`,
-  :class:`FlowDeparture`, :class:`BurstStart`/:class:`BurstEnd`,
-  :class:`TopologyChange`), drained in epoch-sized batches;
+  (:class:`VolumeScale`, :class:`FlowArrival`, :class:`FlowDeparture`,
+  :class:`BurstStart`/:class:`BurstEnd`, :class:`TopologyChange`, and
+  the whole-matrix :class:`MatrixSet`), drained in epoch-sized batches;
 * a pluggable **trigger policy** deciding, per batch, between no-op,
   the incremental delta fast path, and a full re-solve —
   :class:`OracleTrigger` (solve on every event, the competitive-ratio
@@ -34,7 +38,7 @@ allocations *cost* something — an un-resolved flash crowd overloads
 links under the old allocation until the next solve actuates.
 
 **Determinism anchors.**  Events only mutate volumes (and, for
-:class:`TopologyChange`, swap among seeded topology variants): flow
+:class:`TopologyChange`, swap among cached degraded topologies): flow
 identities, offsets, and QoS never change, so the incremental engine's
 population contract holds.  Two anchors pin the machinery:
 (1) a :class:`DeltaTrigger` at threshold 0 with :func:`lockstep_events`
@@ -48,20 +52,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
-from typing import ClassVar, Sequence
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..core import MegaTEOptimizer
-from ..core.flowtable import FlowTable
 from ..core.incremental import _REL_FLOOR  # shared rel-delta semantics
 from ..core.types import TEResult
 from ..obs import get_registry, get_tracer
 from ..topology.failures import sample_failure_scenarios
 from ..traffic.demand import DemandMatrix
 from .admission import AdmissionConfig, AdmissionController
-from .flowsim import simulate
+from .failures import degraded_topology
+from .flowsim import SimulationOutcome, simulate
 
 __all__ = [
     "NOOP",
@@ -70,13 +75,13 @@ __all__ = [
     "STREAM_SCENARIO_NAMES",
     "TRIGGER_NAMES",
     "StreamEvent",
-    "VolumeSet",
     "VolumeScale",
     "FlowArrival",
     "FlowDeparture",
     "BurstStart",
     "BurstEnd",
     "TopologyChange",
+    "MatrixSet",
     "StreamState",
     "TriggerContext",
     "OracleTrigger",
@@ -86,6 +91,9 @@ __all__ = [
     "make_trigger",
     "stream_scenario_events",
     "lockstep_events",
+    "Epoch",
+    "control_loop",
+    "owned_registry",
     "StreamEpochRecord",
     "StreamReport",
     "run_stream",
@@ -127,31 +135,6 @@ class StreamEvent:
     def describe(self) -> dict:
         """JSON-serializable event descriptor (for the event log)."""
         return {"kind": self.kind, **asdict(self)}
-
-
-@dataclass(frozen=True)
-class VolumeSet(StreamEvent):
-    """Replace one site pair's per-flow volumes wholesale.
-
-    This is the lockstep bridge: :func:`lockstep_events` compiles a
-    matrix sequence into per-boundary :class:`VolumeSet` events, and
-    the anchor test pins the streaming loop against the plain replay.
-    """
-
-    kind: ClassVar[str] = "volume_set"
-
-    pair: int = 0
-    volumes: tuple[float, ...] = ()
-
-    def describe(self) -> dict:
-        # The full volume tuple would bloat the event log; summarize.
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "pair": self.pair,
-            "num_flows": len(self.volumes),
-            "volume_sum": float(sum(self.volumes)),
-        }
 
 
 @dataclass(frozen=True)
@@ -226,19 +209,54 @@ class BurstEnd(StreamEvent):
 
 @dataclass(frozen=True)
 class TopologyChange(StreamEvent):
-    """Switch to a seeded degraded topology (or back to healthy).
+    """Switch to a degraded topology (or back to healthy).
 
-    ``num_fibers == 0`` restores the healthy topology; otherwise the
-    failed fibers are sampled once per ``(num_fibers, scenario_seed)``
-    and the degraded variant is cached, so a flap back to the same
-    scenario reuses one topology object (keeping the per-topology
-    solver cache effective).
+    ``fibers`` names the failed duplex fibers outright (an empty tuple
+    heals); the soak schedule compiles each change of its active cuts
+    into one such event.  Without it, ``num_fibers == 0`` restores the
+    healthy topology and otherwise the failed fibers are sampled from
+    ``(num_fibers, scenario_seed)``.  Degraded variants are cached by
+    fiber set, so a flap back to the same failure reuses one topology
+    object (keeping the per-topology solver cache effective).
     """
 
     kind: ClassVar[str] = "topology_change"
 
     num_fibers: int = 1
     scenario_seed: int = 0
+    fibers: tuple[tuple[str, str], ...] | None = None
+
+    def describe(self) -> dict:
+        out = super().describe()
+        if self.fibers is None:
+            del out["fibers"]
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class MatrixSet(StreamEvent):
+    """Replace every flow's volume at once (one float64 per flow).
+
+    The lockstep bridge: how the soak engine, the interval runner and
+    the replay anchor (:func:`lockstep_events`) drive the loop.
+    """
+
+    kind: ClassVar[str] = "matrix_set"
+
+    volumes: np.ndarray
+
+    # Identity semantics: an array field has no usable value equality.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def describe(self) -> dict:
+        # The volume column would bloat the event log; summarize.
+        return {
+            "kind": self.kind,
+            "time": self.time,
+            "num_flows": int(self.volumes.size),
+            "volume_sum": float(self.volumes.sum()),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +273,17 @@ class StreamState:
     def __init__(self, topology, base: DemandMatrix) -> None:
         self.healthy_topology = topology
         self.topology = topology
-        table = base.table
-        self._offsets = table.offsets
-        self._qos = table.qos
-        self._src = table.src_endpoints
-        self._dst = table.dst_endpoints
-        self._has_endpoints = table.has_endpoints
-        self._base_volumes = table.volumes.astype(np.float64, copy=True)
-        self.volumes = table.volumes.astype(np.float64, copy=True)
-        self.num_pairs = table.num_pairs
+        self._base = base
+        self._offsets = base.table.offsets
+        self._base_volumes = base.table.volumes.astype(np.float64, copy=True)
+        self.volumes = base.table.volumes.astype(np.float64, copy=True)
+        self.num_pairs = base.table.num_pairs
         #: Set by a :class:`TopologyChange`; the runner clears it at
         #: the top of every epoch.
         self.topology_changed = False
         self._saved_bursts: dict[int, tuple[int, np.ndarray]] = {}
-        self._degraded_cache: dict[tuple[int, int], object] = {}
+        #: Degraded topologies by failed-fiber set.
+        self._degraded: dict[tuple, object] = {}
 
     def _pair_slice(self, pair: int) -> slice:
         if not 0 <= pair < self.num_pairs:
@@ -289,16 +304,13 @@ class StreamState:
 
     def apply(self, event: StreamEvent) -> None:
         """Apply one event to the demand/topology state."""
-        if isinstance(event, VolumeSet):
-            sl = self._pair_slice(event.pair)
-            values = np.asarray(event.volumes, dtype=np.float64)
-            if values.size != sl.stop - sl.start:
+        if isinstance(event, MatrixSet):
+            if event.volumes.shape != self.volumes.shape:
                 raise ValueError(
-                    f"volume_set on pair {event.pair}: "
-                    f"{values.size} values for "
-                    f"{sl.stop - sl.start} flows"
+                    f"matrix_set: {event.volumes.size} values for "
+                    f"{self.volumes.size} flows"
                 )
-            self.volumes[sl] = values
+            self.volumes[:] = event.volumes
         elif isinstance(event, VolumeScale):
             self.volumes[self._pair_slice(event.pair)] *= event.factor
         elif isinstance(event, FlowArrival):
@@ -333,44 +345,30 @@ class StreamState:
             pair, volumes = saved
             self.volumes[self._pair_slice(pair)] = volumes
         elif isinstance(event, TopologyChange):
-            self.topology = self._topology_for(event)
+            self.topology = degraded_topology(
+                self.healthy_topology,
+                self._fibers_of(event),
+                self._degraded,
+            )
             self.topology_changed = True
         else:
             raise TypeError(f"unknown stream event {type(event).__name__}")
 
-    def _topology_for(self, event: TopologyChange):
+    def _fibers_of(self, event: TopologyChange):
+        if event.fibers is not None:
+            return event.fibers
         if event.num_fibers <= 0:
-            return self.healthy_topology
-        key = (event.num_fibers, event.scenario_seed)
-        cached = self._degraded_cache.get(key)
-        if cached is None:
-            scenario = sample_failure_scenarios(
-                self.healthy_topology.network,
-                event.num_fibers,
-                num_scenarios=1,
-                seed=event.scenario_seed,
-            )[0]
-            failed_links = [
-                link
-                for a, b in scenario.fibers
-                for link in ((a, b), (b, a))
-            ]
-            cached = self.healthy_topology.with_failures(failed_links)
-            self._degraded_cache[key] = cached
-        return cached
+            return ()
+        return sample_failure_scenarios(
+            self.healthy_topology.network,
+            event.num_fibers,
+            num_scenarios=1,
+            seed=event.scenario_seed,
+        )[0].fibers
 
     def matrix(self) -> DemandMatrix:
         """Snapshot the current demands as a fresh matrix."""
-        return DemandMatrix.from_table(
-            FlowTable(
-                offsets=self._offsets,
-                volumes=self.volumes.copy(),
-                qos=self._qos,
-                src_endpoints=self._src,
-                dst_endpoints=self._dst,
-                has_endpoints=self._has_endpoints,
-            )
-        )
+        return self._base.with_volumes(self.volumes.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -707,29 +705,19 @@ def lockstep_events(
 ) -> tuple[StreamEvent, ...]:
     """Compile a matrix sequence into boundary-aligned events.
 
-    Interval ``i`` becomes one :class:`VolumeSet` per site pair at
-    ``i * interval_s``, reproducing ``sequence.matrix(i)``'s volumes
-    exactly (the float round trip through the event tuple is lossless
-    for float64).  Driving :func:`run_stream` with these events, a
-    zero-threshold :class:`DeltaTrigger`, and ``tick_s == interval_s``
-    is the lockstep determinism anchor.
+    Interval ``i`` becomes one :class:`MatrixSet` at ``i * interval_s``
+    carrying ``sequence.matrix(i)``'s volumes exactly (horizons past
+    the sequence wrap around it).  Driving :func:`run_stream` with
+    these events, a zero-threshold :class:`DeltaTrigger`, and
+    ``tick_s == interval_s`` is the lockstep determinism anchor.
     """
-    events: list[StreamEvent] = []
-    for i in range(num_intervals):
-        table = sequence.matrix(i % sequence.num_intervals).table
-        for pair in range(table.num_pairs):
-            lo = int(table.offsets[pair])
-            hi = int(table.offsets[pair + 1])
-            events.append(
-                VolumeSet(
-                    time=i * interval_s,
-                    pair=pair,
-                    volumes=tuple(
-                        float(v) for v in table.volumes[lo:hi]
-                    ),
-                )
-            )
-    return tuple(events)
+    return tuple(
+        MatrixSet(
+            time=i * interval_s,
+            volumes=sequence.matrix(i % sequence.num_intervals).table.volumes,
+        )
+        for i in range(num_intervals)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +858,209 @@ class StreamReport:
 
 
 # ---------------------------------------------------------------------------
-# The streaming loop
+# The control loop
+
+
+@contextmanager
+def owned_registry():
+    """Force-enable and reset the global metrics registry for one run.
+
+    The caller's enablement is restored on exit; the run's series stay
+    in the registry for export (export before the next run).
+    """
+    registry = get_registry()
+    prior_enabled = registry.enabled
+    registry.enabled = True
+    registry.reset()
+    try:
+        yield registry
+    finally:
+        registry.enabled = prior_enabled
+
+
+@dataclass
+class Epoch:
+    """What the control loop did in one epoch.
+
+    ``raw`` is the offered demand after the epoch's ``events`` (with its
+    per-pair totals ``raw_site``), ``admitted`` what admission let
+    through (``raw`` itself without admission).  ``result`` is the
+    epoch's solve (None on a no-op), ``actuated`` the solve serving the
+    epoch, ``realized`` that allocation on the admitted demands, and
+    ``sim`` its flow-simulator outcome.
+    """
+
+    index: int
+    time: float
+    events: tuple[StreamEvent, ...]
+    raw: DemandMatrix
+    raw_site: np.ndarray
+    admitted: DemandMatrix
+    shed: float
+    decision: str
+    staleness_s: float
+    result: TEResult | None
+    actuated: TEResult
+    realized: TEResult
+    sim: SimulationOutcome
+
+
+def control_loop(
+    topology,
+    base: DemandMatrix,
+    events: Iterable[StreamEvent],
+    num_epochs: int,
+    tick_s: float,
+    trigger,
+    optimizer,
+    predictor=None,
+    admission: AdmissionController | None = None,
+    delay: int = 1,
+) -> Iterator[Epoch]:
+    """The controller loop, yielding one :class:`Epoch` per epoch.
+
+    Each epoch ``t`` (simulated second ``t * tick_s``): apply the events
+    with ``time <= t * tick_s`` (``events`` is time-ordered and read
+    lazily), snapshot and admit the demands, measure drift against the
+    last-solved demands and the predictor's forecast, let ``trigger``
+    decide, maybe solve, and realize the actuated allocation.  After
+    the consumer has seen the epoch the predictor observes the raw
+    demands, and a delayed solve actuates.
+
+    ``optimizer`` needs only ``solve(topology, demands)``; an optional
+    ``reset_incremental_state`` runs at the start and before every full
+    solve.  ``delay`` (0 or 1) is the epochs between a solve and its
+    actuation; with 1 the bootstrap and topology-change solves still
+    actuate at once.
+    """
+    if delay not in (0, 1):
+        raise ValueError("delay must be 0 or 1")
+    tracer = get_tracer()
+    reset = getattr(optimizer, "reset_incremental_state", None)
+    if reset is not None:
+        # A run is one fresh control loop: no carried solver state.
+        reset()
+
+    state = StreamState(topology, base)
+    pending_events = iter(events)
+    upcoming = next(pending_events, None)
+    last_solved_site: np.ndarray | None = None
+    last_solve_t: float | None = None
+    current: TEResult | None = None  # actuated allocation
+    pending: TEResult | None = None  # solved, actuates next epoch
+
+    for epoch in range(num_epochs):
+        t = epoch * tick_s
+        state.topology_changed = False
+        drained: list[StreamEvent] = []
+        while upcoming is not None and upcoming.time <= t:
+            with tracer.span(
+                "stream.event", kind=upcoming.kind, epoch=epoch
+            ):
+                state.apply(upcoming)
+            drained.append(upcoming)
+            upcoming = next(pending_events, None)
+
+        raw = state.matrix()
+        raw_site = raw.site_demands()
+        shed = 0.0
+        if admission is not None:
+            outcome = admission.admit(raw.table)
+            admitted = raw.with_volumes(outcome.volumes)
+            shed = outcome.shed_total
+        else:
+            admitted = raw
+
+        staleness_s = t - (
+            last_solve_t if last_solve_t is not None else 0.0
+        )
+        # Drift is measured on the *raw* observed demands: admission
+        # caps what the solver sees, but a capped surge is still the
+        # drift signal that should trip a re-solve (otherwise the cap
+        # would mask the very overload it exists to manage).
+        measured = (
+            max_rel_delta(raw_site, last_solved_site)
+            if last_solved_site is not None
+            else float("inf")
+        )
+        predicted = 0.0
+        if predictor is not None and last_solved_site is not None:
+            try:
+                forecast = predictor.predict()
+            except RuntimeError:
+                forecast = None
+            if forecast is not None:
+                predicted = max_rel_delta(
+                    forecast.site_demands(), last_solved_site
+                )
+
+        if epoch == 0 or state.topology_changed:
+            # Controller invariant, not a policy choice: there is
+            # nothing actuated yet (bootstrap) or the actuated
+            # allocation routes over links that no longer exist.
+            decision = FULL
+        else:
+            decision = trigger.decide(
+                TriggerContext(
+                    epoch=epoch,
+                    time=t,
+                    num_events=len(drained),
+                    measured_drift=measured,
+                    predicted_drift=predicted,
+                    staleness_s=staleness_s,
+                    topology_changed=state.topology_changed,
+                )
+            )
+        if decision not in (NOOP, DELTA, FULL):
+            raise ValueError(
+                f"trigger returned unknown decision {decision!r}"
+            )
+
+        result = None
+        if decision != NOOP:
+            if decision == FULL and reset is not None:
+                reset()
+            with tracer.span(
+                "stream.solve", epoch=epoch, decision=decision
+            ):
+                result = optimizer.solve(state.topology, admitted)
+            last_solved_site = raw_site
+            last_solve_t = t
+            staleness_s = 0.0
+            if current is None or state.topology_changed or not delay:
+                current = result
+                pending = None
+            else:
+                pending = result
+
+        # Realize the *actuated* allocation on this epoch's actual
+        # (admitted) demands.
+        realized = replace(current, demands=admitted)
+        sim = simulate(state.topology, realized)
+
+        yield Epoch(
+            index=epoch,
+            time=t,
+            events=tuple(drained),
+            raw=raw,
+            raw_site=raw_site,
+            admitted=admitted,
+            shed=shed,
+            decision=decision,
+            staleness_s=staleness_s,
+            result=result,
+            actuated=current,
+            realized=realized,
+            sim=sim,
+        )
+
+        if predictor is not None:
+            predictor.observe(raw)
+
+        # Actuate: the epoch's solve serves from the next epoch on.
+        if pending is not None:
+            current = pending
+            pending = None
 
 
 def run_stream(
@@ -889,18 +1079,12 @@ def run_stream(
 ) -> StreamReport:
     """Drain an event stream through the online controller loop.
 
-    Each epoch ``t`` (simulated second ``t * tick_s``): drain every
-    event with ``time <= t * tick_s`` (stable order), snapshot the
-    demands, run admission, measure drift against the last-solved
-    demands (and the predictor's forecast), ask the trigger for a
-    decision, maybe solve, then realize the *actuated* allocation on
-    the epoch's actual demands (one-epoch actuation delay; epoch-0 and
-    topology-change solves actuate immediately) and account delivered
-    and shed volume.
+    Runs :func:`control_loop` with a one-epoch actuation delay
+    (epoch-0 and topology-change solves actuate immediately) and
+    accounts offered, admitted, delivered and shed volume per epoch.
+    Events apply in ``(time, position in the stream)`` order.
 
-    The run owns the metrics registry the way the soak engine does:
-    telemetry is force-enabled and the registry reset at the start,
-    and the caller's previous enablement is restored on exit — the
+    The run owns the metrics registry (:func:`owned_registry`): the
     ``megate_stream_*`` series stay in the registry for export.
 
     Args:
@@ -929,16 +1113,8 @@ def run_stream(
         raise ValueError("tick_s must be positive")
     if trigger is None:
         trigger = HybridTrigger()
-
-    registry = get_registry()
-    tracer = get_tracer()
-    prior_enabled = registry.enabled
-    registry.enabled = True
-    registry.reset()
-
     if optimizer is None:
         optimizer = MegaTEOptimizer()
-    optimizer.reset_incremental_state()
 
     controller: AdmissionController | None
     if isinstance(admission, AdmissionController):
@@ -953,44 +1129,13 @@ def run_stream(
             "AdmissionController, or None"
         )
 
-    events_c = registry.counter(
-        "megate_stream_events_total",
-        "Stream events applied, by kind",
-        labelnames=("kind",),
-    )
-    resolves_c = registry.counter(
-        "megate_stream_resolves_total",
-        "Controller solves issued, by trigger decision",
-        labelnames=("trigger",),
-    )
-    epochs_c = registry.counter(
-        "megate_stream_epochs_total", "Controller epochs completed"
-    )
-    staleness_g = registry.gauge(
-        "megate_stream_staleness_seconds",
-        "Simulated seconds since the last solve",
-    )
-    shed_c = registry.counter(
-        "megate_stream_shed_volume_total",
-        "Volume shed by admission control across the run",
-    )
-    delivered_g = registry.gauge(
-        "megate_stream_delivered_fraction",
-        "Delivered fraction of offered volume, latest epoch",
-    )
-    qos1_floor_g = registry.gauge(
-        "megate_stream_qos1_fraction_floor",
-        "Worst per-epoch QoS-1 satisfied fraction so far",
-    )
-
-    state = StreamState(topology, base)
     # Stable (time, insertion order) queue.
-    queue = sorted(
-        enumerate(events), key=lambda kv: (kv[1].time, kv[0])
-    )
-    queue = [e for _, e in queue]
-    cursor = 0
-
+    queue = [
+        e
+        for _, e in sorted(
+            enumerate(events), key=lambda kv: (kv[1].time, kv[0])
+        )
+    ]
     report = StreamReport(
         scenario=scenario,
         trigger=getattr(trigger, "name", type(trigger).__name__),
@@ -1004,158 +1149,99 @@ def run_stream(
         solves_delta=0,
         assignment_digest="",
     )
-
     digest = hashlib.sha256()
-    last_solved_site: np.ndarray | None = None
-    last_solve_t: float | None = None
-    current: TEResult | None = None  # actuated allocation
-    pending: TEResult | None = None  # solved, actuates next epoch
 
-    try:
-        for epoch in range(num_epochs):
-            t = epoch * tick_s
-            state.topology_changed = False
-            drained = 0
-            while cursor < len(queue) and queue[cursor].time <= t:
-                event = queue[cursor]
-                cursor += 1
-                drained += 1
-                with tracer.span(
-                    "stream.event", kind=event.kind, epoch=epoch
-                ):
-                    state.apply(event)
+    with owned_registry() as registry:
+        events_c = registry.counter(
+            "megate_stream_events_total",
+            "Stream events applied, by kind",
+            labelnames=("kind",),
+        )
+        resolves_c = registry.counter(
+            "megate_stream_resolves_total",
+            "Controller solves issued, by trigger decision",
+            labelnames=("trigger",),
+        )
+        epochs_c = registry.counter(
+            "megate_stream_epochs_total", "Controller epochs completed"
+        )
+        staleness_g = registry.gauge(
+            "megate_stream_staleness_seconds",
+            "Simulated seconds since the last solve",
+        )
+        shed_c = registry.counter(
+            "megate_stream_shed_volume_total",
+            "Volume shed by admission control across the run",
+        )
+        delivered_g = registry.gauge(
+            "megate_stream_delivered_fraction",
+            "Delivered fraction of offered volume, latest epoch",
+        )
+        qos1_floor_g = registry.gauge(
+            "megate_stream_qos1_fraction_floor",
+            "Worst per-epoch QoS-1 satisfied fraction so far",
+        )
+
+        for ep in control_loop(
+            topology,
+            base,
+            queue,
+            num_epochs,
+            tick_s,
+            trigger,
+            optimizer,
+            predictor=predictor,
+            admission=controller,
+            delay=1,
+        ):
+            for event in ep.events:
                 events_c.labels(kind=event.kind).inc()
                 report.event_log.append(
-                    {"epoch": epoch, **event.describe()}
+                    {"epoch": ep.index, **event.describe()}
                 )
-            report.num_events += drained
-
-            raw = state.matrix()
-            raw_site = raw.site_demands()
-            raw_total = float(raw_site.sum())
-
-            shed_this = 0.0
+            report.num_events += len(ep.events)
             if controller is not None:
-                outcome = controller.admit(raw.table)
-                admitted = DemandMatrix.from_table(
-                    FlowTable(
-                        offsets=raw.table.offsets,
-                        volumes=outcome.volumes,
-                        qos=raw.table.qos,
-                        src_endpoints=raw.table.src_endpoints,
-                        dst_endpoints=raw.table.dst_endpoints,
-                        has_endpoints=raw.table.has_endpoints,
-                    )
-                )
-                shed_this = outcome.shed_total
-                shed_c.inc(shed_this)
-            else:
-                admitted = raw
-            admitted_site = admitted.site_demands()
-            admitted_total = float(admitted_site.sum())
-
-            staleness_s = t - (
-                last_solve_t if last_solve_t is not None else 0.0
-            )
-            # Drift is measured on the *raw* observed demands: admission
-            # caps what the solver sees, but a capped surge is still the
-            # drift signal that should trip a re-solve (otherwise the
-            # cap would mask the very overload it exists to manage).
-            measured = (
-                max_rel_delta(raw_site, last_solved_site)
-                if last_solved_site is not None
-                else float("inf")
-            )
-            predicted = 0.0
-            if predictor is not None and last_solved_site is not None:
-                try:
-                    forecast = predictor.predict()
-                except RuntimeError:
-                    forecast = None
-                if forecast is not None:
-                    predicted = max_rel_delta(
-                        forecast.site_demands(), last_solved_site
-                    )
-
-            if epoch == 0 or state.topology_changed:
-                # Controller invariant, not a policy choice: there is
-                # nothing actuated yet (bootstrap) or the actuated
-                # allocation routes over links that no longer exist.
-                decision = FULL
-            else:
-                decision = trigger.decide(
-                    TriggerContext(
-                        epoch=epoch,
-                        time=t,
-                        num_events=drained,
-                        measured_drift=measured,
-                        predicted_drift=predicted,
-                        staleness_s=staleness_s,
-                        topology_changed=state.topology_changed,
-                    )
-                )
-            if decision not in (NOOP, DELTA, FULL):
-                raise ValueError(
-                    f"trigger returned unknown decision {decision!r}"
-                )
+                shed_c.inc(ep.shed)
 
             runtime_s = 0.0
-            if decision != NOOP:
-                if decision == FULL:
-                    optimizer.reset_incremental_state()
-                with tracer.span(
-                    "stream.solve", epoch=epoch, decision=decision
-                ):
-                    result = optimizer.solve(state.topology, admitted)
-                for arr in result.assignment.per_pair:
+            if ep.result is not None:
+                for arr in ep.result.assignment.per_pair:
                     digest.update(arr.tobytes())
-                resolves_c.labels(trigger=decision).inc()
-                if decision == FULL:
+                resolves_c.labels(trigger=ep.decision).inc()
+                if ep.decision == FULL:
                     report.solves_full += 1
                 else:
                     report.solves_delta += 1
-                runtime_s = result.runtime_s
-                report.total_runtime_s += result.runtime_s
-                last_solved_site = raw_site
-                last_solve_t = t
-                staleness_s = 0.0
-                if current is None or state.topology_changed:
-                    current = result
-                    pending = None
-                else:
-                    pending = result
+                runtime_s = ep.result.runtime_s
+                report.total_runtime_s += runtime_s
 
-            # Realize the *actuated* allocation on this epoch's actual
-            # (admitted) demands; shed volume counts against delivered
-            # fraction because raw volume is the denominator.
-            realized = TEResult(
-                scheme=current.scheme,
-                assignment=current.assignment,
-                demands=admitted,
-                satisfied_volume=current.satisfied_volume,
-                runtime_s=current.runtime_s,
-                site_allocation=current.site_allocation,
-                stats=current.stats,
+            # Shed volume counts against delivered fraction because raw
+            # volume is the denominator.
+            raw_total = float(ep.raw_site.sum())
+            admitted_total = (
+                raw_total
+                if ep.admitted is ep.raw
+                else float(ep.admitted.site_demands().sum())
             )
-            sim = simulate(state.topology, realized)
-
-            fractions = np.concatenate(sim.flow_delivery)
-            q1 = raw.table.qos == 1
-            qos1_offered = float(raw.table.volumes[q1].sum())
+            fractions = np.concatenate(ep.sim.flow_delivery)
+            q1 = ep.raw.table.qos == 1
+            qos1_offered = float(ep.raw.table.volumes[q1].sum())
             qos1_delivered = float(
-                (admitted.table.volumes[q1] * fractions[q1]).sum()
+                (ep.admitted.table.volumes[q1] * fractions[q1]).sum()
             )
             qos1_fraction = (
                 qos1_delivered / qos1_offered if qos1_offered > 0 else 1.0
             )
             delivered_fraction = (
-                sim.delivered_volume / raw_total if raw_total > 0 else 1.0
+                ep.sim.delivered_volume / raw_total
+                if raw_total > 0
+                else 1.0
             )
 
             report.offered_volume += raw_total
             report.admitted_volume += admitted_total
-            report.delivered_volume += sim.delivered_volume
-            report.shed_volume += shed_this
+            report.delivered_volume += ep.sim.delivered_volume
+            report.shed_volume += ep.shed
             report.qos1_offered += qos1_offered
             report.qos1_delivered += qos1_delivered
             report.qos1_floor = min(report.qos1_floor, qos1_fraction)
@@ -1164,42 +1250,27 @@ def run_stream(
             )
 
             epochs_c.inc()
-            staleness_g.set(staleness_s)
+            staleness_g.set(ep.staleness_s)
             delivered_g.set(delivered_fraction)
             qos1_floor_g.set(report.qos1_floor)
 
             report.records.append(
                 StreamEpochRecord(
-                    epoch=epoch,
-                    time_s=t,
-                    events=tuple(
-                        e["kind"]
-                        for e in report.event_log[
-                            len(report.event_log) - drained :
-                        ]
-                    ),
-                    decision=decision,
+                    epoch=ep.index,
+                    time_s=ep.time,
+                    events=tuple(e.kind for e in ep.events),
+                    decision=ep.decision,
                     offered_volume=raw_total,
                     admitted_volume=admitted_total,
-                    shed_volume=shed_this,
-                    delivered_volume=float(sim.delivered_volume),
+                    shed_volume=ep.shed,
+                    delivered_volume=float(ep.sim.delivered_volume),
                     delivered_fraction=delivered_fraction,
                     qos1_fraction=qos1_fraction,
-                    staleness_s=staleness_s,
-                    max_utilization=sim.max_utilization,
+                    staleness_s=ep.staleness_s,
+                    max_utilization=ep.sim.max_utilization,
                     runtime_s=runtime_s,
                 )
             )
-
-            if predictor is not None:
-                predictor.observe(raw)
-
-            # Actuate: the epoch's solve serves from the next epoch on.
-            if pending is not None:
-                current = pending
-                pending = None
-    finally:
-        registry.enabled = prior_enabled
 
     report.assignment_digest = digest.hexdigest()
     if controller is not None:

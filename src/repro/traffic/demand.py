@@ -159,6 +159,22 @@ class DemandMatrix:
         """The canonical columnar store."""
         return self._table
 
+    def with_volumes(self, volumes: np.ndarray) -> "DemandMatrix":
+        """The same flows (layout, QoS, endpoints shared) with new volumes."""
+        t = self._table
+        if np.shape(volumes) != t.volumes.shape:
+            raise ValueError("volumes must align with the flow count")
+        return DemandMatrix.from_table(
+            FlowTable(
+                offsets=t.offsets,
+                volumes=volumes,
+                qos=t.qos,
+                src_endpoints=t.src_endpoints,
+                dst_endpoints=t.dst_endpoints,
+                has_endpoints=t.has_endpoints,
+            )
+        )
+
     @property
     def _per_pair(self) -> list[PairDemands]:
         """Per-pair zero-copy views of the flat columns (built lazily)."""

@@ -10,13 +10,10 @@ from repro.controlplane import (
     plan_hybrid_sync,
 )
 from repro.core import MegaTEOptimizer
+from repro.core.flowtable import FlowTable
 from repro.simulation import run_intervals
 from repro.topology import sample_failure_scenarios
-from repro.traffic import (
-    DemandMatrix,
-    DiurnalSequence,
-    EWMAPredictor,
-)
+from repro.traffic import DemandMatrix, DiurnalSequence
 
 from conftest import make_pair_demands
 
@@ -74,16 +71,6 @@ class TestRunIntervals:
         )
         assert stale.mean_delivered <= fresh.mean_delivered + 0.02
 
-    def test_predictor_integration(self, tiny_topology, diurnal):
-        series = run_intervals(
-            tiny_topology,
-            list(diurnal)[:4],
-            MegaTEOptimizer(),
-            predictor=EWMAPredictor(alpha=0.5),
-        )
-        assert len(series.records) == 4
-        assert series.mean_delivered > 0.5
-
     def test_aggregates(self, tiny_topology, diurnal):
         series = run_intervals(
             tiny_topology, list(diurnal)[:3], MegaTEOptimizer()
@@ -95,7 +82,7 @@ class TestRunIntervals:
         )
         assert not np.isnan(series.mean_qos1_latency_ms)
 
-    def test_shape_change_rejected(self, tiny_topology):
+    def test_shape_change_rejected(self, tiny_topology, tiny_demands):
         a = DemandMatrix(
             [make_pair_demands([1.0, 1.0], with_endpoints=True)]
         )
@@ -107,6 +94,27 @@ class TestRunIntervals:
                 tiny_topology, [a, b], MegaTEOptimizer(),
                 stale_inputs=True,
             )
+        # Same per-pair counts, but two flows swap a class or an
+        # endpoint: the loop carries only volumes, so this is refused.
+        table = tiny_demands.table
+        for column in ("qos", "src_endpoints", "dst_endpoints"):
+            columns = {
+                c: getattr(table, c).copy()
+                for c in ("qos", "src_endpoints", "dst_endpoints")
+            }
+            columns[column][[0, 5]] = columns[column][[5, 0]]
+            moved = DemandMatrix.from_table(
+                FlowTable(
+                    offsets=table.offsets,
+                    volumes=table.volumes,
+                    has_endpoints=table.has_endpoints,
+                    **columns,
+                )
+            )
+            with pytest.raises(ValueError, match=f"identities.*{column}"):
+                run_intervals(
+                    tiny_topology, [tiny_demands, moved], MegaTEOptimizer()
+                )
 
 
 class TestOrchestrateFailover:

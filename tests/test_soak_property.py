@@ -15,12 +15,21 @@ The load-bearing contracts of :mod:`repro.simulation.soak`:
   degraded-fraction numbers are computed from the Prometheus snapshot
   by the ``snapshot_*`` helpers; their aggregation across labelled
   series and histogram buckets is pinned here on hand-built registries.
+* **Schedule compilation** — the stream events a schedule compiles
+  into reproduce, interval by interval, the per-interval scaled matrix
+  and cut-fiber union computed directly from the schedule.
+
+Like the chaos suite, the randomized properties read ``CHAOS_EXAMPLES``
+(examples per property, default 40) and ``CHAOS_SEED`` (base seed,
+default 0), so the scheduled chaos CI lane runs them at a larger budget.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -34,13 +43,20 @@ from repro.simulation.soak import (
     MaintenanceDrain,
     SLOReport,
     SLOSpec,
+    _scaled_matrix,
+    compile_schedule,
     run_soak,
     scenario_events,
     snapshot_counter_total,
     snapshot_gauge_value,
     snapshot_histogram_quantile,
 )
+from repro.simulation.streaming import StreamState
+from repro.topology import sample_failure_scenarios
 from repro.traffic import DiurnalSequence
+
+CHAOS_EXAMPLES = int(os.environ.get("CHAOS_EXAMPLES", "40"))
+CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 #: Small scenario: one run ~0.2 s, large enough that the second stage
 #: sees contention and traffic events actually move the assignment.
@@ -118,8 +134,8 @@ class TestDeterminism:
         )
         runs = [
             run_soak(
-                topology, sequence, NUM_INTERVALS, events, seed=3,
-                scenario="overlap",
+                topology, sequence, NUM_INTERVALS, events,
+                seed=CHAOS_SEED + 3, scenario="overlap",
             )
             for _ in range(2)
         ]
@@ -139,11 +155,11 @@ class TestDeterminism:
     @given(
         name=st.sampled_from(SCENARIO_NAMES),
         num_intervals=st.integers(min_value=1, max_value=400),
-        seed=st.integers(min_value=0, max_value=2**16),
+        seed=st.integers(min_value=CHAOS_SEED, max_value=CHAOS_SEED + 2**16),
         num_shards=st.integers(min_value=1, max_value=8),
     )
     @settings(
-        max_examples=40,
+        max_examples=CHAOS_EXAMPLES,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
@@ -156,6 +172,77 @@ class TestDeterminism:
         for event in a:
             assert 0 <= event.start < num_intervals
             assert event.duration >= 1
+
+
+#: Two overlapping cuts (1 + 2 fibers) under a flash crowd: the fiber
+#: union grows, shrinks and heals.
+OVERLAPPING_CUTS = (
+    LinkCut(start=2, duration=6, num_fibers=1, scenario_seed=3),
+    LinkCut(start=5, duration=8, num_fibers=2, scenario_seed=4),
+    FlashCrowd(start=4, duration=5, magnitude=2.0, pair_fraction=0.5,
+               choice_seed=11),
+)
+
+
+class TestScheduleCompilation:
+    @pytest.mark.parametrize(
+        "name, seed",
+        [("full-mix", 0), ("link-flap", 1), ("overlapping-cuts", 0)],
+    )
+    def test_compiled_events_match_per_interval_oracle(
+        self, small_scenario, name, seed
+    ):
+        topology, sequence = small_scenario
+        num_intervals, interval_s = 20, 300.0
+        events = (
+            OVERLAPPING_CUTS
+            if name == "overlapping-cuts"
+            else scenario_events(name, num_intervals, seed=seed)
+        )
+        compiled = list(
+            compile_schedule(
+                topology, sequence, num_intervals, events, interval_s
+            )
+        )
+        state = StreamState(topology, sequence.base)
+        topology_of: dict[frozenset, object] = {}
+        cut_fibers: dict = {}
+        for interval in range(num_intervals):
+            # Oracle: the soak loop's per-interval computation.
+            active = [e for e in events if e.active(interval)]
+            fibers: set = set()
+            for event in active:
+                if isinstance(event, LinkCut):
+                    if event not in cut_fibers:
+                        cut_fibers[event] = sample_failure_scenarios(
+                            topology.network,
+                            event.num_fibers,
+                            num_scenarios=1,
+                            seed=event.scenario_seed,
+                        )[0].fibers
+                    fibers.update(cut_fibers[event])
+            expected = _scaled_matrix(
+                sequence.matrix(interval % sequence.num_intervals),
+                active,
+            )
+
+            for event in compiled:
+                if event.time == interval * interval_s:
+                    state.apply(event)
+            assert state.volumes.dtype == np.float64
+            assert (
+                state.volumes.tobytes() == expected.table.volumes.tobytes()
+            )
+            seen = topology_of.setdefault(frozenset(fibers), state.topology)
+            assert state.topology is seen
+            if not fibers:
+                assert state.topology is topology
+            for a, b in fibers:
+                assert not state.topology.network.has_link(a, b)
+                assert not state.topology.network.has_link(b, a)
+        # The schedule really cut (healthy + each distinct fiber union).
+        min_topologies = {"link-flap": 2, "overlapping-cuts": 3}
+        assert len(topology_of) >= min_topologies.get(name, 1)
 
 
 class TestSnapshotHelpers:

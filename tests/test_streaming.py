@@ -29,13 +29,13 @@ from repro.simulation.streaming import (
     FlowArrival,
     FlowDeparture,
     HybridTrigger,
+    MatrixSet,
     OracleTrigger,
     PeriodicTrigger,
     StreamState,
     TopologyChange,
     TriggerContext,
     VolumeScale,
-    VolumeSet,
     make_trigger,
     max_rel_delta,
     run_stream,
@@ -81,21 +81,18 @@ class TestStreamState:
         np.testing.assert_allclose(
             state.matrix().pair(0).volumes, [2.0, 4.0, 6.0]
         )
-        state.apply(
-            VolumeSet(time=0.0, pair=1, volumes=(7.0, 8.0))
-        )
-        np.testing.assert_allclose(
-            state.matrix().pair(1).volumes, [7.0, 8.0]
-        )
-        # Pair 0 untouched by the pair-1 set.
-        np.testing.assert_allclose(
-            state.matrix().pair(0).volumes, [2.0, 4.0, 6.0]
-        )
+        volumes = np.array([1.0, 0.0, 3.0, 7.0, 8.0])
+        state.apply(MatrixSet(time=0.0, volumes=volumes))
+        np.testing.assert_array_equal(state.matrix().pair(0).volumes, [1.0, 0.0, 3.0])
+        np.testing.assert_array_equal(state.matrix().pair(1).volumes, [7.0, 8.0])
+        # The state copies the event's volumes; later events never write back.
+        state.apply(VolumeScale(time=0.0, pair=1, factor=2.0))
+        np.testing.assert_array_equal(volumes, [1.0, 0.0, 3.0, 7.0, 8.0])
 
     def test_volume_set_size_mismatch_rejected(self):
         state = StreamState(None, _base())
-        with pytest.raises(ValueError, match="volume_set"):
-            state.apply(VolumeSet(time=0.0, pair=0, volumes=(1.0,)))
+        with pytest.raises(ValueError, match="matrix_set"):
+            state.apply(MatrixSet(time=0.0, volumes=np.ones(4)))
 
     def test_pair_out_of_range_rejected(self):
         state = StreamState(None, _base())

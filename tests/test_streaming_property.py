@@ -3,8 +3,8 @@
 The load-bearing contracts of :mod:`repro.simulation.streaming`:
 
 * **Lockstep anchor** — driving :func:`run_stream` with
-  :func:`lockstep_events` (one boundary-aligned :class:`VolumeSet` per
-  pair per interval), a zero-threshold :class:`DeltaTrigger`, and
+  :func:`lockstep_events` (one boundary-aligned whole-matrix
+  :class:`MatrixSet` per interval), a zero-threshold :class:`DeltaTrigger`, and
   ``tick_s`` equal to the interval length must reproduce the plain
   :func:`~repro.experiments.interval_replay.replay_intervals`
   assignment digest bit-for-bit: the streaming machinery adds event
