@@ -1,9 +1,11 @@
-"""Batched SSP triage throughput (§8, "Parallelism in SSP").
+"""Batched SSP throughput (§8, "Parallelism in SSP").
 
 A production interval produces O(N²) subset-sum instances, most of them
-uncontended (the allocation covers the demand).  The batch solver triages
-those in one vectorized pass; this bench measures the win over naive
-per-instance solving on a realistic mix.
+uncontended (the allocation covers the demand).  The array-batched
+kernel resolves those fast paths in one vectorized pass and runs only
+the contended rest through the full FastSSP; this bench measures it
+against naive per-instance solving on a realistic mix and checks that
+every result is bit-identical to the per-instance solve.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro.core import BatchSSPInstance, fast_ssp, solve_ssp_batch
+from repro.core import fast_ssp, fast_ssp_batch
 
 
 def _make_instances(num=2_000, contended_fraction=0.1, seed=0):
@@ -25,28 +27,30 @@ def _make_instances(num=2_000, contended_fraction=0.1, seed=0):
             capacity = total * rng.uniform(0.3, 0.9)  # contended
         else:
             capacity = total * rng.uniform(1.0, 3.0)  # fits entirely
-        instances.append(
-            BatchSSPInstance(values=values, capacity=capacity)
-        )
+        instances.append((values, capacity))
     return instances
 
 
 def test_batch_ssp_throughput(benchmark):
     instances = _make_instances()
+    flat = np.concatenate([values for values, _ in instances])
+    offsets = np.concatenate(
+        ([0], np.cumsum([values.size for values, _ in instances]))
+    ).astype(np.int64)
+    capacities = np.array([cap for _, cap in instances], dtype=np.float64)
 
-    batch_results = benchmark.pedantic(
-        solve_ssp_batch, args=(instances,), rounds=3, iterations=1
+    batched = benchmark.pedantic(
+        fast_ssp_batch,
+        args=(flat, offsets, capacities),
+        rounds=3,
+        iterations=1,
     )
     t0 = time.perf_counter()
-    naive = [
-        fast_ssp(np.asarray(i.values), i.capacity) for i in instances
-    ]
+    naive = [fast_ssp(values, cap) for values, cap in instances]
     naive_seconds = time.perf_counter() - t0
 
     mismatches = sum(
-        1
-        for a, b in zip(batch_results, naive)
-        if a.selected != b.selected
+        1 for i, ref in enumerate(naive) if batched.result(i) != ref
     )
     print(
         f"\nBatch SSP: {len(instances)} instances "

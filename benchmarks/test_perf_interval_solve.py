@@ -7,7 +7,7 @@ engine at delta thresholds 0.0 (bit-exact) and 1.5 (fast path live) —
 and records the per-phase timing breakdown
 (``TEResult.stats["phase_s"]``) to ``BENCH_interval_solve.json`` at the
 repo root.  The artifact keeps the latest snapshot under the mode keys
-*and* appends a timestamped record (git sha, LP backend, config,
+*and* appends a timestamped record (git sha, LP solver, config,
 per-mode summary) to its ``history`` list, so the perf trajectory across
 PRs is preserved rather than overwritten.
 
@@ -18,8 +18,7 @@ the incremental engine at threshold 0.0 must reproduce the cold replay's
 assignment digest (SHA-256 of every interval's assignment arrays); at
 threshold 1.5 the engine must
 beat the batched baseline's stage1+stage2 time by >= 1.3x with both
-reuse mechanisms observably firing.  A highspy leg is reported when the
-optional wheel is installed.
+reuse mechanisms observably firing.
 
 The artifact also carries the *realization* phases — flow simulation,
 congestion-aware latency, and collector ``build_matrix`` over the same
@@ -37,7 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.controlplane import DemandCollector, FlowRecord
-from repro.core import MegaTEOptimizer, QoSClass, highspy_available
+from repro.core import MegaTEOptimizer, QoSClass
 from repro.experiments import run_interval_replay
 from repro.experiments.bench_history import (
     load_history,
@@ -201,14 +200,6 @@ def test_interval_solve_breakdown(benchmark, monkeypatch):
     # the satisfied volume must stay within 2% of the cold solve.
     assert incremental.satisfied_volume >= 0.98 * batched.satisfied_volume
 
-    highspy = None
-    if highspy_available():
-        highspy = run_interval_replay(
-            optimizer=MegaTEOptimizer(lp_backend="highspy"),
-            **REPLAY_CONFIG,
-        )
-        assert highspy.backend == "highspy"
-        assert highspy.lp_warm_starts > 0
     print(
         f"\n{batched.num_intervals}-interval replay on "
         f"{REPLAY_CONFIG['topology_name']} "
@@ -236,13 +227,6 @@ def test_interval_solve_breakdown(benchmark, monkeypatch):
         f"{incremental.lp_solves_skipped} LP solves patched, "
         f"{incremental.ssp_state_reused} SSP warm reuses)"
     )
-    if highspy is not None:
-        hp_solver_s = highspy.stage1_lp_s + highspy.stage2_ssp_s
-        print(
-            f"  highspy: stage1 {highspy.stage1_lp_s:.3f}s + "
-            f"stage2 {highspy.stage2_ssp_s:.3f}s = {hp_solver_s:.3f}s "
-            f"({highspy.lp_warm_starts} warm-started LP solves)"
-        )
     for phase, seconds in batched.phase_s.items():
         print(f"  phase {phase:<16s} {seconds * 1e3:8.1f} ms")
 
@@ -281,7 +265,6 @@ def test_interval_solve_breakdown(benchmark, monkeypatch):
         "incremental_exact": inc_exact.as_dict(),
         "kernel_fill_s": kernel_fill_s,
         "scalar_reference_fill_s": scalar_fill_s,
-        "highspy": None if highspy is None else highspy.as_dict(),
         "incremental_speedup_vs_batched": solver_s / inc_solver_s,
         "realization_s": realization,
     }

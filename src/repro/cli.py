@@ -374,7 +374,6 @@ def _cmd_replay(args) -> None:
         target_load=args.load,
         seed=args.seed,
         delta_threshold=args.delta_threshold,
-        lp_backend=args.lp_backend,
     )
     _write_replay_telemetry(args)
     if args.json:
@@ -385,8 +384,7 @@ def _cmd_replay(args) -> None:
         f"Interval replay, cold vs incremental "
         f"({args.topology}, {cold['num_flows']} flows, "
         f"{args.intervals} intervals, "
-        f"delta threshold {args.delta_threshold}, "
-        f"backend {inc['backend']}):",
+        f"delta threshold {args.delta_threshold}):",
         render_table(
             ["mode", "stage1_lp_s", "stage2_ssp_s", "lp_solves",
              "patched", "ssp_reused", "satisfied"],
@@ -904,13 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta-threshold", type=float, default=1.5,
         help="per-pair relative demand-change bound for the LP delta "
              "fast path (0 = bit-exact reuse only)",
-    )
-    p.add_argument(
-        "--lp-backend",
-        choices=["scipy", "highspy", "auto"],
-        default=None,
-        help="LP backend (default: REPRO_LP_BACKEND env or scipy; "
-             "highspy degrades to scipy when not installed)",
     )
     p.add_argument(
         "--trace-out", default=None, metavar="FILE",

@@ -1,22 +1,11 @@
 """MegaTE's core contribution: the contracted two-stage TE optimization."""
 
-from .batch import (
-    BatchSSPInstance,
-    solve_ssp_batch,
-    triage_ssp_batch,
-    triage_ssp_segments,
-)
 from .exact import ExactSolution, solve_max_all_flow
 from .fastssp import FastSSPResult, fast_ssp
 from .fastssp_batch import BatchedSSPResult, fast_ssp_batch, fill_pairs_batch
 from .flowtable import FlowTable, PairViews, csr_offsets, pair_views
 from .formulation import MaxAllFlowProblem
-from .incremental import IncrementalConfig, IncrementalState
-from .lp_backend import (
-    BACKEND_ENV_VAR,
-    highspy_available,
-    resolve_backend_name,
-)
+from .incremental import IncrementalState
 from .pairfill import fill_pair, fill_pairs
 from .qos import PRIORITY_ORDER, QoSClass
 from .siteflow import SiteFlowSolver, solve_max_site_flow
@@ -58,10 +47,6 @@ __all__ = [
     "FeasibilityReport",
     "check_feasibility",
     "UNASSIGNED",
-    "BatchSSPInstance",
-    "solve_ssp_batch",
-    "triage_ssp_batch",
-    "triage_ssp_segments",
     "FlowTable",
     "PairViews",
     "csr_offsets",
@@ -72,9 +57,5 @@ __all__ = [
     "BatchedSSPResult",
     "fast_ssp_batch",
     "fill_pairs_batch",
-    "IncrementalConfig",
     "IncrementalState",
-    "BACKEND_ENV_VAR",
-    "highspy_available",
-    "resolve_backend_name",
 ]

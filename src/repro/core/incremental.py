@@ -48,7 +48,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ClassLPState",
-    "IncrementalConfig",
     "IncrementalState",
     "PatchOutcome",
     "patch_class_allocation",
@@ -61,35 +60,6 @@ _ABS_TOL = 1e-9
 #: Floor for relative-delta denominators (pairs appearing from zero
 #: demand always exceed any finite threshold).
 _REL_FLOOR = 1e-12
-
-
-@dataclass
-class IncrementalConfig:
-    """Knobs of the incremental solve engine.
-
-    Attributes:
-        delta_threshold: Maximum per-pair relative demand change for
-            which the LP may be patched instead of re-solved.  ``0.0``
-            restricts reuse to bit-identical inputs (exact); values
-            around 1-2 work well under diurnal drift — the link-headroom
-            guard, not the threshold, is then the binding check.
-        carry_ssp_state: Warm-start contended second-stage pairs from
-            the previous interval's assignment (only when
-            ``delta_threshold > 0`` — at 0.0 the cold path runs so the
-            digest contract holds).
-        refresh_every: Force a cold solve every N intervals to
-            re-optimize away accumulated patch drift (0 = never).
-    """
-
-    delta_threshold: float = 0.0
-    carry_ssp_state: bool = True
-    refresh_every: int = 0
-
-    def __post_init__(self) -> None:
-        if self.delta_threshold < 0:
-            raise ValueError("delta_threshold must be >= 0")
-        if self.refresh_every < 0:
-            raise ValueError("refresh_every must be >= 0")
 
 
 @dataclass
@@ -136,8 +106,6 @@ class IncrementalState:
     def __init__(self) -> None:
         self.topology_ref: weakref.ref | None = None
         self.offsets: np.ndarray | None = None
-        #: Intervals solved since the state was (re)created.
-        self.interval_index = 0
         #: Per-QoS-class first-stage state, keyed by class value.
         self.lp: dict[int, ClassLPState] = {}
         #: Previous flow→tunnel assignment per ``(qos, pair)``.
@@ -148,7 +116,6 @@ class IncrementalState:
     def reset(self) -> None:
         self.topology_ref = None
         self.offsets = None
-        self.interval_index = 0
         self.lp.clear()
         self.ssp_assigned.clear()
         self.cls_idx.clear()

@@ -25,7 +25,6 @@ remains as a thin compatibility wrapper over the cached solver.
 from __future__ import annotations
 
 import threading
-import warnings
 import weakref
 from typing import TYPE_CHECKING
 
@@ -34,7 +33,6 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from ..obs import get_registry, get_tracer
-from .lp_backend import BackendUnavailable, make_backend, resolve_backend_name
 from .types import SiteAllocation
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with formulation
@@ -187,16 +185,7 @@ class SiteFlowSolver:
         self._fill_order_cache: dict[
             str, tuple[list[np.ndarray], np.ndarray]
         ] = {}
-        #: Lazily constructed LP backend instances, keyed by name.
-        self._backends: dict[str, object] = {}
-        #: Backends that failed at runtime this process (degraded away).
-        self._broken_backends: set[str] = set()
         self._incidence_col_bounds: np.ndarray | None = None
-        #: Backend used by the most recent :meth:`solve_flat` call, and
-        #: whether that call warm-started from a previous basis.  Read by
-        #: the optimizer right after each solve for its stats.
-        self.last_backend = "scipy"
-        self.last_warm_start = False
 
     @classmethod
     def for_topology(
@@ -280,36 +269,19 @@ class SiteFlowSolver:
             )
         return cached
 
-    def _backend_for(self, name: str):
-        """The (cached) backend instance for a resolved backend name."""
-        if name in self._broken_backends:
-            name = "scipy"
-        impl = self._backends.get(name)
-        if impl is None:
-            try:
-                impl = make_backend(name, self.constraint_matrix)
-            except BackendUnavailable:
-                self._broken_backends.add(name)
-                return self._backend_for("scipy")
-            self._backends[name] = impl
-        return impl
-
     def solve_flat(
         self,
         site_demands: np.ndarray,
         capacities: np.ndarray | None = None,
         tunnel_weights: np.ndarray | None = None,
         epsilon: float | None = None,
-        backend: str | None = None,
     ) -> np.ndarray:
         """Solve the LP and return the flat ``F_{k,t}`` vector.
 
         Args mirror :func:`solve_max_site_flow`; ``epsilon=None``
-        auto-scales exactly the way the legacy function did.  ``backend``
-        selects the LP backend (``"scipy"``/``"highspy"``/``"auto"``;
-        ``None`` consults ``REPRO_LP_BACKEND``, default scipy); the
-        backend actually used and whether it warm-started are left in
-        :attr:`last_backend` / :attr:`last_warm_start`.
+        auto-scales exactly the way the legacy function did.  One
+        stateless ``linprog(method="highs")`` call, so the result
+        depends only on the arguments.
         """
         site_demands = np.asarray(site_demands, dtype=np.float64)
         if site_demands.shape != (self.num_pairs,):
@@ -343,39 +315,17 @@ class SiteFlowSolver:
             eps = epsilon
         cost = -(1.0 - eps * weights)
         b_ub = np.concatenate([site_demands, np.maximum(caps, 0.0)])
-        impl = self._backend_for(resolve_backend_name(backend))
-        with get_tracer().span(
-            "siteflow.lp_solve", backend=impl.name
-        ) as sp:
-            if impl.name == "scipy":
-                x, warm = impl.solve(cost, b_ub)
-            else:
-                try:
-                    x, warm = impl.solve(cost, b_ub)
-                except Exception as exc:
-                    # Optional backends must never break the serving
-                    # loop: degrade this solver to scipy for the rest
-                    # of the process and re-solve the call that failed.
-                    warnings.warn(
-                        f"LP backend {impl.name!r} failed ({exc}); "
-                        "falling back to scipy",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    get_registry().counter(
-                        "megate_lp_backend_fallbacks_total",
-                        "LP backend runtime failures degraded to scipy",
-                        labelnames=("backend",),
-                    ).labels(backend=impl.name).inc()
-                    self._broken_backends.add(impl.name)
-                    self._backends.pop(impl.name, None)
-                    impl = self._backend_for("scipy")
-                    x, warm = impl.solve(cost, b_ub)
-            sp.set_attribute("backend", impl.name)
-            sp.set_attribute("warm_start", warm)
-        self.last_backend = impl.name
-        self.last_warm_start = warm
-        return x
+        with get_tracer().span("siteflow.lp_solve"):
+            outcome = linprog(
+                cost,
+                A_ub=self.constraint_matrix,
+                b_ub=b_ub,
+                bounds=(0.0, None),
+                method="highs",
+            )
+        if not outcome.success:
+            raise RuntimeError(f"MaxSiteFlow LP failed: {outcome.message}")
+        return np.maximum(outcome.x, 0.0)
 
     def split(self, flat: np.ndarray) -> SiteAllocation:
         """View a flat ``F_{k,t}`` vector as a :class:`SiteAllocation`."""
@@ -392,7 +342,6 @@ class SiteFlowSolver:
         capacities: np.ndarray | None = None,
         tunnel_weights: np.ndarray | None = None,
         epsilon: float | None = None,
-        backend: str | None = None,
     ) -> SiteAllocation:
         """Solve the LP and return the allocation per site pair."""
         return self.split(
@@ -401,7 +350,6 @@ class SiteFlowSolver:
                 capacities=capacities,
                 tunnel_weights=tunnel_weights,
                 epsilon=epsilon,
-                backend=backend,
             )
         )
 

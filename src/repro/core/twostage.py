@@ -22,15 +22,15 @@ on CPU):
   ``qos`` columns, each QoS class is one mask + ``searchsorted`` over the
   offsets (no per-pair re-flattening), and the assignment / allocation
   are written through their flat vectors.
-* Stage 2 first *triages* the site pairs in one vectorized pass
-  (:func:`~repro.core.batch.triage_ssp_segments` over the CSR segment
-  bounds): a pair whose class demand fits entirely into its
-  most-preferred positive allocation — the overwhelming majority in
-  production — is resolved without touching FastSSP.  Only the contended
-  residue runs the full sequential tunnel fill, all of a class's
-  contended pairs at once through :func:`~repro.core.pairfill.fill_pairs`
-  (one array-batched FastSSP kernel call per fill-order step — the
-  paper's parallel per-pair SSPs as one array program).
+* Stage 2 first *triages* the site pairs in one vectorized comparison
+  straight from the CSR segment bounds: a pair whose class demand fits
+  entirely into its most-preferred positive allocation — the
+  overwhelming majority in production — is resolved without touching
+  FastSSP.  Only the contended residue runs the full sequential tunnel
+  fill, all of a class's contended pairs at once through
+  :func:`~repro.core.pairfill.fill_pairs` (one array-batched FastSSP
+  kernel call per fill-order step — the paper's parallel per-pair SSPs
+  as one array program).
 * Residual-capacity accounting applies the class's placed volumes
   through the precomputed link-tunnel incidence in one
   ``np.subtract.at`` call — entry order matches the per-tunnel
@@ -56,15 +56,12 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from ..obs import get_registry, get_tracer, monotonic
-from .batch import triage_ssp_segments
 from .formulation import MaxAllFlowProblem
 from .incremental import (
     ClassLPState,
-    IncrementalConfig,
     IncrementalState,
     patch_class_allocation,
 )
-from .lp_backend import resolve_backend_name
 from .pairfill import fill_pairs
 from .qos import PRIORITY_ORDER, QoSClass
 from .siteflow import SiteFlowSolver
@@ -129,37 +126,30 @@ class MegaTEOptimizer:
         objective_epsilon: The ``ε`` of objective (1); ``None`` auto-scales.
         qos_order: Priority order of QoS classes; defaults to the paper's
             class 1 → 2 → 3.
-        class_tunnel_attribute: Tunnel attribute each class's allocation
-            prefers (the ``w_t`` of its MaxSiteFlow objective and the fill
-            order of its MaxEndpointFlow stage).  Defaults to latency
-            (``weight``) for classes 1-2 and per-Gbps cost for class 3 —
-            §7's production policy: time-sensitive traffic takes the fast
-            premium paths, bulk transfer is "accurately dispatched to the
-            low-cost path".
         incremental: Carry solve state across consecutive
             :meth:`solve` calls on the same topology and flow
             population (the TE interval loop) — see
-            :mod:`repro.core.incremental`.  ``True`` builds an
-            :class:`~repro.core.incremental.IncrementalConfig` from the
-            three knobs below; an ``IncrementalConfig`` instance is
-            used as-is; ``False`` (default) solves every interval cold.
+            :mod:`repro.core.incremental`.  ``False`` (default) solves
+            every interval cold.
         delta_threshold: Per-pair relative demand-change bound for the
             LP delta fast path (``0.0`` = bit-exact reuse only, so the
-            incremental run reproduces the cold digests exactly).
-        carry_ssp_state: Warm-start contended second-stage pairs from
-            the previous interval's assignment (threshold > 0 only).
-        refresh_every: Force a cold re-solve every N intervals (0 =
-            never) to re-optimize away accumulated patch drift.
-        lp_backend: LP backend name forwarded to
-            :meth:`SiteFlowSolver.solve_flat` (``"scipy"`` /
-            ``"highspy"`` / ``"auto"``; ``None`` consults the
-            ``REPRO_LP_BACKEND`` environment variable, default scipy).
-            A missing or failing ``highspy`` degrades to scipy.
+            incremental run reproduces the cold digests exactly; a
+            positive value also warm-starts contended second-stage
+            pairs from the previous interval's assignment).  Must be
+            ``>= 0`` in every mode.
+
+    Each class's allocation prefers the tunnel attribute of
+    :attr:`DEFAULT_CLASS_ATTRIBUTE` (the ``w_t`` of its MaxSiteFlow
+    objective and the fill order of its MaxEndpointFlow stage): latency
+    (``weight``) for classes 1-2 and per-Gbps cost for class 3 — §7's
+    production policy: time-sensitive traffic takes the fast premium
+    paths, bulk transfer is "accurately dispatched to the low-cost
+    path".
     """
 
     scheme_name = "MegaTE"
 
-    #: Default per-class tunnel preference (see class docstring).
+    #: Per-class tunnel preference (see class docstring).
     DEFAULT_CLASS_ATTRIBUTE: dict[QoSClass, str] = {
         QoSClass.CLASS1: "weight",
         QoSClass.CLASS2: "weight",
@@ -171,34 +161,19 @@ class MegaTEOptimizer:
         fastssp_epsilon: float = 0.1,
         objective_epsilon: float | None = None,
         qos_order: tuple[QoSClass, ...] = PRIORITY_ORDER,
-        class_tunnel_attribute: dict[QoSClass, str] | None = None,
-        incremental: bool | IncrementalConfig = False,
+        incremental: bool = False,
         delta_threshold: float = 0.0,
-        carry_ssp_state: bool = True,
-        refresh_every: int = 0,
-        lp_backend: str | None = None,
     ) -> None:
         if not 0 < fastssp_epsilon < 1:
             raise ValueError("fastssp_epsilon must be in (0, 1)")
+        # Written as a negation so NaN is rejected too.
+        if not delta_threshold >= 0:
+            raise ValueError("delta_threshold must be >= 0")
         self.fastssp_epsilon = fastssp_epsilon
         self.objective_epsilon = objective_epsilon
         self.qos_order = qos_order
-        self.class_tunnel_attribute = dict(
-            self.DEFAULT_CLASS_ATTRIBUTE
-            if class_tunnel_attribute is None
-            else class_tunnel_attribute
-        )
-        if isinstance(incremental, IncrementalConfig):
-            self.incremental: IncrementalConfig | None = incremental
-        elif incremental:
-            self.incremental = IncrementalConfig(
-                delta_threshold=delta_threshold,
-                carry_ssp_state=carry_ssp_state,
-                refresh_every=refresh_every,
-            )
-        else:
-            self.incremental = None
-        self.lp_backend = lp_backend
+        self.incremental = bool(incremental)
+        self.delta_threshold = delta_threshold
         self._state: IncrementalState | None = None
 
     def reset_incremental_state(self) -> None:
@@ -244,7 +219,6 @@ class MegaTEOptimizer:
             span.set_attribute(
                 "satisfied_fraction", result.satisfied_fraction
             )
-            span.set_attribute("backend", result.stats[StatKey.BACKEND])
         self._record_metrics(result)
         return result
 
@@ -275,7 +249,6 @@ class MegaTEOptimizer:
         )
         lp.labels(outcome="solved").inc(stats[StatKey.LP_SOLVES])
         lp.labels(outcome="skipped").inc(stats[StatKey.LP_SOLVES_SKIPPED])
-        lp.labels(outcome="warm_start").inc(stats[StatKey.LP_WARM_START])
         reuse = registry.counter(
             "megate_incremental_reuse_total",
             "Incremental-engine fast paths taken",
@@ -341,28 +314,19 @@ class MegaTEOptimizer:
         per_class_satisfied: dict[int, float] = {}
 
         # Incremental mode: revalidate the carried state against this
-        # interval's topology and flow population; a mismatch (or a
-        # scheduled refresh) solves cold and re-seeds the state.
-        inc = self.incremental
+        # interval's topology and flow population; a mismatch solves
+        # cold and re-seeds the state.
         state: IncrementalState | None = None
         carried = False
-        if inc is not None:
+        if self.incremental:
             if self._state is None:
                 self._state = IncrementalState()
             state = self._state
             carried = state.revalidate(topology, demands)
-            if (
-                carried
-                and inc.refresh_every > 0
-                and state.interval_index % inc.refresh_every == 0
-            ):
-                carried = False
         lp_solves = 0
         lp_solves_skipped = 0
-        lp_warm_starts = 0
         pairs_delta_patched = 0
         ssp_state_reused = 0
-        backend_used: str | None = None
         ssp_batch_phase: dict[str, float] = {}
 
         for qos in self.qos_order:
@@ -388,7 +352,7 @@ class MegaTEOptimizer:
             # Stage 1 under one span; the span renames itself to the
             # ``delta_patch`` phase when the fast path absorbed the LP.
             with tracer.span("te.phase.lp_solve", qos=qos.value) as sp:
-                attribute = self.class_tunnel_attribute.get(qos, "weight")
+                attribute = self.DEFAULT_CLASS_ATTRIBUTE.get(qos, "weight")
                 # Overridden weights (e.g. cost for bulk) get a stronger
                 # ε so the LP actively steers toward preferred tunnels;
                 # throughput still dominates (coefficients stay >= 0.7).
@@ -420,7 +384,7 @@ class MegaTEOptimizer:
                             class_demands,
                             residual,
                             ordered_cols,
-                            inc.delta_threshold,
+                            self.delta_threshold,
                         )
                         if patch.alloc is not None:
                             alloc_flat = patch.alloc
@@ -433,12 +397,8 @@ class MegaTEOptimizer:
                         capacities=residual,
                         tunnel_weights=class_weights,
                         epsilon=class_epsilon,
-                        backend=self.lp_backend,
                     )
                     lp_solves += 1
-                    if solver.last_warm_start:
-                        lp_warm_starts += 1
-                    backend_used = solver.last_backend
                 else:
                     sp.name = "te.phase.delta_patch"
                 site_alloc = solver.split(alloc_flat)
@@ -454,8 +414,11 @@ class MegaTEOptimizer:
 
             # Triage, columnar: a pair whose whole class demand fits its
             # first positive-allocation tunnel needs no FastSSP.
-            # Candidates and the fits/contended split come straight from
-            # the CSR segment bounds — no per-instance objects.
+            # Candidates (non-empty class segment, some positive
+            # allocation) and the fits/contended split come straight from
+            # the CSR segment bounds — no per-instance objects.  The
+            # SiteMerge sums are the totals, so the split is bit-identical
+            # to summing each pair's volumes.
             with tracer.span("te.phase.triage", qos=qos.value) as sp:
                 first_cols = _first_positive_columns(
                     alloc_flat, ordered_cols, offsets
@@ -463,10 +426,12 @@ class MegaTEOptimizer:
                 candidates = np.flatnonzero(
                     (seg[1:] > seg[:-1]) & (first_cols >= 0)
                 )
-                fits_pos, contended_pos = triage_ssp_segments(
-                    class_demands[candidates],
-                    alloc_flat[first_cols[candidates]],
+                fits_mask = (
+                    class_demands[candidates]
+                    <= alloc_flat[first_cols[candidates]]
                 )
+                fits_pos = np.flatnonzero(fits_mask)
+                contended_pos = np.flatnonzero(~fits_mask)
             dt = sp.duration_s
             stage2_s += dt
             phase[StatKey.PHASE_TRIAGE] += dt
@@ -500,8 +465,7 @@ class MegaTEOptimizer:
                     state is not None
                     and carried
                     and population_same
-                    and inc.carry_ssp_state
-                    and inc.delta_threshold > 0.0
+                    and self.delta_threshold > 0.0
                 )
                 filled = fill_pairs(
                     [cls_vol[seg[k] : seg[k + 1]] for k in contended_ks],
@@ -567,9 +531,6 @@ class MegaTEOptimizer:
             satisfied += class_satisfied
             per_class_satisfied[qos.value] = class_satisfied
 
-        if state is not None:
-            state.interval_index += 1
-
         runtime = monotonic() - start
         return TEResult(
             scheme=self.scheme_name,
@@ -586,17 +547,11 @@ class MegaTEOptimizer:
                 StatKey.PHASE_S: phase,
                 StatKey.NUM_UNCONTENDED_PAIRS: num_uncontended,
                 StatKey.NUM_CONTENDED_PAIRS: num_contended,
-                StatKey.BACKEND: (
-                    backend_used
-                    if backend_used is not None
-                    else resolve_backend_name(self.lp_backend)
-                ),
-                StatKey.LP_WARM_START: lp_warm_starts,
                 StatKey.LP_SOLVES: lp_solves,
                 StatKey.LP_SOLVES_SKIPPED: lp_solves_skipped,
                 StatKey.PAIRS_DELTA_PATCHED: pairs_delta_patched,
                 StatKey.SSP_STATE_REUSED: ssp_state_reused,
-                StatKey.INCREMENTAL: inc is not None,
+                StatKey.INCREMENTAL: self.incremental,
                 StatKey.SSP_BATCH_PHASE_S: ssp_batch_phase,
             },
         )

@@ -52,8 +52,6 @@ class StatKey:
     PHASE_S = "phase_s"
     NUM_UNCONTENDED_PAIRS = "num_uncontended_pairs"
     NUM_CONTENDED_PAIRS = "num_contended_pairs"
-    BACKEND = "backend"
-    LP_WARM_START = "lp_warm_start"
     LP_SOLVES = "lp_solves"
     LP_SOLVES_SKIPPED = "lp_solves_skipped"
     PAIRS_DELTA_PATCHED = "pairs_delta_patched"

@@ -63,12 +63,11 @@ class IntervalReplayReport:
         assignment_digest: SHA-256 over every interval's per-pair
             assignment arrays, in interval order — equal digests mean
             bit-identical allocations.
-        backend: LP backend of the last interval (``"scipy"`` or
-            ``"highspy"``; constant across a replay in practice).
+        backend: Stage-1 LP solver, always ``"scipy"`` (HiGHS through
+            ``scipy.optimize.linprog``); kept because the bench-history
+            schema pins the field.
         lp_solves: Full LP solves across the replay.
         lp_solves_skipped: Class solves served by the delta fast path.
-        lp_warm_starts: LP solves warm-started from a previous basis
-            (highspy backend only).
         pairs_delta_patched: Demand-changed site pairs absorbed by the
             delta fast path.
         ssp_state_reused: Contended pair solves served by the carried
@@ -94,7 +93,6 @@ class IntervalReplayReport:
     backend: str = "scipy"
     lp_solves: int = 0
     lp_solves_skipped: int = 0
-    lp_warm_starts: int = 0
     pairs_delta_patched: int = 0
     ssp_state_reused: int = 0
     ssp_batch_phase_s: dict[str, float] = field(default_factory=dict)
@@ -116,7 +114,6 @@ class IntervalReplayReport:
             "backend": self.backend,
             "lp_solves": self.lp_solves,
             "lp_solves_skipped": self.lp_solves_skipped,
-            "lp_warm_starts": self.lp_warm_starts,
             "pairs_delta_patched": self.pairs_delta_patched,
             "ssp_state_reused": self.ssp_state_reused,
             "ssp_batch_phase_s": dict(self.ssp_batch_phase_s),
@@ -171,12 +168,10 @@ def replay_intervals(
             StatKey.NUM_UNCONTENDED_PAIRS
         ]
         report.num_contended_pairs += stats[StatKey.NUM_CONTENDED_PAIRS]
-        report.backend = stats.get(StatKey.BACKEND, report.backend)
         report.lp_solves += stats.get(StatKey.LP_SOLVES, 0)
         report.lp_solves_skipped += stats.get(
             StatKey.LP_SOLVES_SKIPPED, 0
         )
-        report.lp_warm_starts += stats.get(StatKey.LP_WARM_START, 0)
         report.pairs_delta_patched += stats.get(
             StatKey.PAIRS_DELTA_PATCHED, 0
         )
@@ -235,7 +230,6 @@ def run_cold_vs_incremental(
     sequence_seed: int = 5,
     num_intervals: int = 10,
     delta_threshold: float = 1.5,
-    lp_backend: str | None = None,
 ) -> dict:
     """Replay the same interval sequence cold and incrementally.
 
@@ -261,14 +255,10 @@ def run_cold_vs_incremental(
         sequence_seed=sequence_seed,
         num_intervals=num_intervals,
     )
-    cold = run_interval_replay(
-        optimizer=MegaTEOptimizer(lp_backend=lp_backend), **config
-    )
+    cold = run_interval_replay(optimizer=MegaTEOptimizer(), **config)
     incremental = run_interval_replay(
         optimizer=MegaTEOptimizer(
-            incremental=True,
-            delta_threshold=delta_threshold,
-            lp_backend=lp_backend,
+            incremental=True, delta_threshold=delta_threshold
         ),
         **config,
     )

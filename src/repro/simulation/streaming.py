@@ -446,7 +446,8 @@ class PeriodicTrigger:
     period_s: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
+        # Negated comparisons reject NaN; ``inf`` means "never".
+        if not self.period_s > 0:
             raise ValueError("period_s must be positive")
 
     def decide(self, ctx: TriggerContext) -> str:
@@ -469,7 +470,7 @@ class DeltaTrigger:
     threshold: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.threshold < 0:
+        if not self.threshold >= 0:
             raise ValueError("threshold must be non-negative")
 
     def decide(self, ctx: TriggerContext) -> str:
@@ -495,9 +496,9 @@ class HybridTrigger:
     refresh_s: float = 900.0
 
     def __post_init__(self) -> None:
-        if self.threshold < 0:
+        if not self.threshold >= 0:
             raise ValueError("threshold must be non-negative")
-        if self.refresh_s <= 0:
+        if not self.refresh_s > 0:
             raise ValueError("refresh_s must be positive")
 
     def decide(self, ctx: TriggerContext) -> str:
@@ -1109,8 +1110,8 @@ def run_stream(
     """
     if num_epochs <= 0:
         raise ValueError("num_epochs must be positive")
-    if tick_s <= 0:
-        raise ValueError("tick_s must be positive")
+    if not 0 < tick_s < float("inf"):
+        raise ValueError("tick_s must be positive and finite")
     if trigger is None:
         trigger = HybridTrigger()
     if optimizer is None:

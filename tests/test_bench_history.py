@@ -65,7 +65,7 @@ def test_record_without_serial_mode_passes():
 
 def test_extra_keys_are_ignored():
     record = _valid_record()
-    record["highspy"] = None
+    record["retired_leg"] = None
     record["batched"]["new_field"] = 123
     validate_history_record(record)
 

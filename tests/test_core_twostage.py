@@ -12,6 +12,10 @@ from repro.core import (
     solve_max_all_flow,
 )
 from repro.core.formulation import MaxAllFlowProblem
+from repro.core.types import StatKey
+from repro.experiments.common import build_scenario
+from repro.simulation.failures import degraded_topology
+from repro.topology.failures import sample_failure_scenarios
 from repro.traffic import DemandMatrix
 
 from conftest import make_pair_demands
@@ -253,3 +257,50 @@ class TestFirstPositiveColumns:
             assert self._run(alloc, ordered_cols, offsets) == self._reference(
                 alloc, ordered_cols, offsets
             )
+
+
+class TestSolveDependsOnlyOnInputs:
+    """A solve is a pure function of (topology, demands): the cached
+    per-topology LP solver carries no state from one call to the next."""
+
+    TIMING_KEYS = {
+        StatKey.STAGE1_LP_S,
+        StatKey.STAGE2_SSP_S,
+        StatKey.PHASE_S,
+        StatKey.SSP_BATCH_PHASE_S,
+    }
+
+    def _untimed(self, result):
+        return {
+            k: v for k, v in result.stats.items()
+            if k not in self.TIMING_KEYS
+        }
+
+    def test_history_does_not_leak_into_a_solve(self):
+        scenario = build_scenario(
+            "twan", total_endpoints=2_000, num_site_pairs=20, seed=7
+        )
+        topology, demands = scenario.topology, scenario.demands
+        fibers = sample_failure_scenarios(
+            topology.network, 2, num_scenarios=1, seed=0
+        )[0].fibers
+        degraded = degraded_topology(topology, fibers)
+        assert degraded is not topology
+
+        optimizer = MegaTEOptimizer()
+        first = optimizer.solve(topology, demands)
+        optimizer.solve(degraded, demands)
+        again = optimizer.solve(topology, demands)
+        fresh = MegaTEOptimizer().solve(topology, demands)
+
+        for other in (again, fresh):
+            for a, b in zip(
+                first.assignment.per_pair, other.assignment.per_pair
+            ):
+                assert a.tobytes() == b.tobytes()
+            assert (
+                first.site_allocation.values.tobytes()
+                == other.site_allocation.values.tobytes()
+            )
+            assert other.satisfied_volume == first.satisfied_volume
+            assert self._untimed(other) == self._untimed(first)

@@ -8,7 +8,7 @@ bit-identity contract against the scalar reference
 must match exactly, not approximately.  Hypothesis drives the batch
 shape (instance count and chunking), the demand distributions (ties,
 zeros, heavy tails, all-oversized), the capacity regimes (trivial,
-everything-fits, contended, subnormal delta-underflow capacities from
+everything-fits, exact fit, contended, subnormal delta-underflow capacities from
 ``fastssp.py``'s normalization guard), and the epsilon grid; a single
 differing bit fails the property.
 
@@ -74,7 +74,7 @@ def ssp_instances(draw):
             values = rng.pareto(1.5, n) + 0.01
         values = np.asarray(values, dtype=np.float64)
         total = float(values.sum()) if n else 0.0
-        cap_kind = draw(st.integers(min_value=0, max_value=5))
+        cap_kind = draw(st.integers(min_value=0, max_value=6))
         if cap_kind == 0:
             capacity = 0.0  # trivial
         elif cap_kind == 1:
@@ -89,10 +89,12 @@ def ssp_instances(draw):
             capacity = (
                 float(positive.min()) * 0.5 if positive.size else 0.3
             )
-        else:
+        elif cap_kind == 5:
             # Subnormal capacity: delta = eps^2/9 * F underflows to 0
             # and the DP must be skipped (fastssp.py's guard).
             capacity = 5e-324
+        else:
+            capacity = total  # exact fit: the ``total <= capacity`` edge
         instances.append((values, capacity))
     return instances
 

@@ -257,12 +257,26 @@ class TestTriggers:
             make_trigger("nope")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PeriodicTrigger(period_s=0.0)
-        with pytest.raises(ValueError):
-            DeltaTrigger(threshold=-0.1)
-        with pytest.raises(ValueError):
-            HybridTrigger(refresh_s=0.0)
+        nan = float("nan")
+        for period_s in (0.0, nan):
+            with pytest.raises(ValueError):
+                PeriodicTrigger(period_s=period_s)
+        for threshold in (-0.1, nan):
+            with pytest.raises(ValueError):
+                DeltaTrigger(threshold=threshold)
+            with pytest.raises(ValueError):
+                HybridTrigger(threshold=threshold)
+        for refresh_s in (0.0, nan):
+            with pytest.raises(ValueError):
+                HybridTrigger(refresh_s=refresh_s)
+        # A NaN or infinite tick is rejected before any input is read.
+        for tick_s in (0.0, nan, float("inf")):
+            with pytest.raises(ValueError, match="tick_s"):
+                run_stream(None, None, (), 1, tick_s=tick_s)
+        # ``inf`` still means "never".
+        assert PeriodicTrigger(period_s=float("inf")).period_s > 0
+        assert DeltaTrigger(threshold=float("inf")).threshold > 0
+        assert HybridTrigger(refresh_s=float("inf")).refresh_s > 0
 
     def test_max_rel_delta_uses_incremental_semantics(self):
         ref = np.array([10.0, 0.0])
