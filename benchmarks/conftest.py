@@ -26,16 +26,15 @@ def record_kernel_fills(monkeypatch) -> list[dict]:
     list.  :func:`time_scalar_fill` replays the log through the scalar
     per-pair reference to price the kernel against it.
     """
-    import time
-
     from repro.core import pairfill
+    from repro.obs import monotonic
 
     kernel = pairfill.fill_pairs_batch
     calls: list[dict] = []
 
     def recording(pair_volumes, pair_allocs, pair_orders, epsilon,
                   phase_out=None):
-        t0 = time.perf_counter()
+        t0 = monotonic()
         out = kernel(
             pair_volumes,
             pair_allocs,
@@ -47,7 +46,7 @@ def record_kernel_fills(monkeypatch) -> list[dict]:
             {
                 "args": (pair_volumes, pair_allocs, pair_orders, epsilon),
                 "out": out,
-                "seconds": time.perf_counter() - t0,
+                "seconds": monotonic() - t0,
             }
         )
         return out
@@ -65,22 +64,21 @@ def time_scalar_fill(calls: list[dict]) -> tuple[float, float]:
     ``(kernel_s, scalar_s)`` — the summed seconds of both on the same
     inputs.
     """
-    import time
-
     import numpy as np
 
     from repro.core.pairfill import fill_pair
+    from repro.obs import monotonic
 
     kernel_s = scalar_s = 0.0
     for call in calls:
         kernel_s += call["seconds"]
         volumes, allocs, orders, epsilon = call["args"]
-        t0 = time.perf_counter()
+        t0 = monotonic()
         ref = [
             fill_pair(v, a, o, epsilon)
             for v, a, o in zip(volumes, allocs, orders)
         ]
-        scalar_s += time.perf_counter() - t0
+        scalar_s += monotonic() - t0
         for (assigned, placed), (ref_a, ref_p) in zip(call["out"], ref):
             np.testing.assert_array_equal(assigned, ref_a)
             assert placed.tobytes() == ref_p.tobytes()

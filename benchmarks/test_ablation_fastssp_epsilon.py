@@ -7,11 +7,10 @@ precision" claim rests on.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core import fast_ssp
+from repro.obs import monotonic
 
 
 def test_ablation_fastssp_epsilon(benchmark):
@@ -25,9 +24,9 @@ def test_ablation_fastssp_epsilon(benchmark):
     def sweep():
         rows = []
         for epsilon in (0.5, 0.3, 0.1, 0.05, 0.02):
-            t0 = time.perf_counter()
+            t0 = monotonic()
             result = fast_ssp(values, capacity, epsilon=epsilon)
-            elapsed = time.perf_counter() - t0
+            elapsed = monotonic() - t0
             rows.append((epsilon, result.utilization, elapsed,
                          result.num_clusters))
         return rows

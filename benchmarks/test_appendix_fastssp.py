@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core import dp_ssp, fast_ssp
 from repro.experiments import fastssp_study
+from repro.obs import monotonic
 
 from conftest import run_once
 
@@ -44,9 +43,9 @@ def test_appendix_fastssp_speedup(benchmark):
     # Compare against the exact DP on the integer-scaled twin.
     scale = 50_000 / capacity
     int_values = np.floor(values * scale).astype(np.int64)
-    t0 = time.perf_counter()
+    t0 = monotonic()
     dp_ssp(int_values, int(capacity * scale))
-    dp_seconds = time.perf_counter() - t0
+    dp_seconds = monotonic() - t0
     print(
         f"\nApp. A.2 speed: exact DP {dp_seconds * 1e3:.0f} ms on the "
         f"same instance; FastSSP fill={result.utilization:.5f}"

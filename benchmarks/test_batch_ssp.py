@@ -10,11 +10,10 @@ every result is bit-identical to the per-instance solve.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core import fast_ssp, fast_ssp_batch
+from repro.obs import monotonic
 
 
 def _make_instances(num=2_000, contended_fraction=0.1, seed=0):
@@ -45,9 +44,9 @@ def test_batch_ssp_throughput(benchmark):
         rounds=3,
         iterations=1,
     )
-    t0 = time.perf_counter()
+    t0 = monotonic()
     naive = [fast_ssp(values, cap) for values, cap in instances]
-    naive_seconds = time.perf_counter() - t0
+    naive_seconds = monotonic() - t0
 
     mismatches = sum(
         1 for i, ref in enumerate(naive) if batched.result(i) != ref

@@ -1,56 +1,43 @@
-"""Interval hot-path benchmark: the control loop's per-interval cost.
+"""Interval hot-path benchmark: the control loop's per-interval contracts.
 
 Replays ten diurnal intervals on the 100-site TWAN topology with the
 default synthetic trace through three solver configurations — the cold
 solver (triage + the contended FastSSP array kernel) and the incremental
 engine at delta thresholds 0.0 (bit-exact) and 1.5 (fast path live) —
-and records the per-phase timing breakdown
-(``TEResult.stats["phase_s"]``) to ``BENCH_interval_solve.json`` at the
-repo root.  The artifact keeps the latest snapshot under the mode keys
-*and* appends a timestamped record (git sha, LP solver, config,
-per-mode summary) to its ``history`` list, so the perf trajectory across
-PRs is preserved rather than overwritten.
+and asserts the equivalence and speed contracts between them:
 
-The equivalence contracts are asserted here too: every batched-kernel
-fill of the cold replay is re-run through the scalar per-pair reference
-(:func:`repro.core.pairfill.fill_pair`) and must agree bit for bit, and
-the incremental engine at threshold 0.0 must reproduce the cold replay's
-assignment digest (SHA-256 of every interval's assignment arrays); at
-threshold 1.5 the engine must
-beat the batched baseline's stage1+stage2 time by >= 1.3x with both
-reuse mechanisms observably firing.
+* every batched-kernel fill of the cold replay is re-run through the
+  scalar per-pair reference (:func:`repro.core.pairfill.fill_pair`) and
+  must agree bit for bit;
+* the incremental engine at threshold 0.0 must reproduce the cold
+  replay's assignment digest (SHA-256 of every interval's assignment
+  arrays);
+* at threshold 1.5 the engine must beat the cold replay's stage1+stage2
+  time by >= 1.3x with both reuse mechanisms observably firing, while
+  keeping the satisfied volume within 2% of cold;
+* flow simulation plus congestion-aware latency over the replay must
+  stay at or below 0.75x of the pre-columnar (per-pair Python loop)
+  implementations.
 
-The artifact also carries the *realization* phases — flow simulation,
-congestion-aware latency, and collector ``build_matrix`` over the same
-replay — with the pre-columnar (per-pair Python loop) baseline embedded,
-so the CSR-layout speedup is tracked alongside the solver trajectory.
+The repo's performance record is ``perfbench/`` (repeated runs, time
+per layer); ``BENCH_interval_solve.json`` holds only soak and stream
+records, and this benchmark writes nothing.
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
-import time
-from pathlib import Path
-
 import pytest
 
-from repro.controlplane import DemandCollector, FlowRecord
-from repro.core import MegaTEOptimizer, QoSClass
+from repro.core import MegaTEOptimizer
 from repro.experiments import run_interval_replay
-from repro.experiments.bench_history import (
-    load_history,
-    validate_history_record,
-)
 from repro.experiments.common import build_scenario
+from repro.obs import monotonic
 from repro.simulation import compute_flow_latencies, simulate
 from repro.traffic import DiurnalSequence
 
-from conftest import record_kernel_fills, run_once, time_scalar_fill
+from conftest import record_kernel_fills, time_scalar_fill
 
 pytestmark = pytest.mark.perf
-
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_interval_solve.json"
 
 REPLAY_CONFIG = dict(
     topology_name="twan",
@@ -62,15 +49,10 @@ REPLAY_CONFIG = dict(
     num_intervals=10,
 )
 
-#: Pre-columnar realization timings on this replay config (seconds,
-#: summed over the 10 intervals; measured on the per-pair Python-loop
-#: implementations immediately before the CSR refactor).
-PRE_COLUMNAR_BASELINE_S = {
-    "flowsim": 0.0445,
-    "latency": 0.0338,
-    "flowsim_plus_latency": 0.0786,
-    "collect_build_matrix": 0.47,
-}
+#: Flow simulation + congestion-aware latency on this replay config
+#: (seconds, summed over the 10 intervals; measured on the per-pair
+#: Python-loop implementations immediately before the CSR refactor).
+PRE_COLUMNAR_FLOWSIM_PLUS_LATENCY_S = 0.0786
 
 
 #: Delta threshold of the benchmark's live incremental leg (generous:
@@ -79,28 +61,8 @@ PRE_COLUMNAR_BASELINE_S = {
 INCREMENTAL_THRESHOLD = 1.5
 
 
-def _git_sha() -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short=12", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=ARTIFACT.parent,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
-
-
-def _time_realization() -> dict[str, float]:
-    """Time the realization phases over the standard replay.
-
-    Solves the same ten intervals as the replay benchmark, then times
-    flow simulation and congestion-aware latency per interval, plus one
-    collector ``build_matrix`` over a full interval's worth of reports.
-    """
+def _flowsim_plus_latency_s() -> float:
+    """Seconds of flow simulation + latency over the standard replay."""
     cfg = REPLAY_CONFIG
     scenario = build_scenario(
         cfg["topology_name"],
@@ -113,65 +75,28 @@ def _time_realization() -> dict[str, float]:
         base=scenario.demands, seed=cfg["sequence_seed"]
     )
     optimizer = MegaTEOptimizer()
-    results = [
-        optimizer.solve(scenario.topology, sequence.matrix(i))
-        for i in range(cfg["num_intervals"])
-    ]
-
-    flowsim_s = latency_s = 0.0
-    for result in results:
-        t0 = time.perf_counter()
+    seconds = 0.0
+    for i in range(cfg["num_intervals"]):
+        result = optimizer.solve(scenario.topology, sequence.matrix(i))
+        t0 = monotonic()
         simulate(scenario.topology, result)
-        flowsim_s += time.perf_counter() - t0
-        t0 = time.perf_counter()
         compute_flow_latencies(
             scenario.topology, result, metric="ms", congestion_aware=True
         )
-        latency_s += time.perf_counter() - t0
-
-    # One interval's worth of agent reports through the collector.
-    collector = DemandCollector(scenario.topology, interval_seconds=300.0)
-    by_value = {q.value: q for q in QoSClass}
-    for pair in scenario.demands:
-        if pair.src_endpoints is None:
-            continue
-        for i in range(pair.num_pairs):
-            collector.ingest(
-                FlowRecord(
-                    src_endpoint=int(pair.src_endpoints[i]),
-                    dst_endpoint=int(pair.dst_endpoints[i]),
-                    bytes_sent=int(
-                        pair.volumes[i] * 300.0 / 8.0 * 1e9
-                    ),
-                    qos=by_value[int(pair.qos[i])],
-                )
-            )
-    t0 = time.perf_counter()
-    collector.build_matrix()
-    collect_s = time.perf_counter() - t0
-
-    return {
-        "flowsim": flowsim_s,
-        "latency": latency_s,
-        "flowsim_plus_latency": flowsim_s + latency_s,
-        "collect_build_matrix": collect_s,
-    }
+        seconds += monotonic() - t0
+    return seconds
 
 
-def test_interval_solve_breakdown(benchmark, monkeypatch):
-    # Every batched-kernel fill of the benchmarked replay is logged and
-    # re-filled by the scalar per-pair reference: bit-identical results,
-    # and the two fill times on the same inputs for the record.
+def test_interval_solve_breakdown(monkeypatch):
+    # Every batched-kernel fill of the cold replay is logged and
+    # re-filled by the scalar per-pair reference: bit-identical results.
     calls = record_kernel_fills(monkeypatch)
-    batched = run_once(
-        benchmark,
-        run_interval_replay,
-        optimizer=MegaTEOptimizer(),
-        **REPLAY_CONFIG,
+    batched = run_interval_replay(
+        optimizer=MegaTEOptimizer(), **REPLAY_CONFIG
     )
     monkeypatch.undo()
     assert batched.ssp_batch_phase_s
-    kernel_fill_s, scalar_fill_s = time_scalar_fill(calls)
+    time_scalar_fill(calls)
 
     # Incremental engine, threshold 0.0: reuse restricted to bit-identical
     # inputs, so the whole replay must reproduce the cold digest exactly.
@@ -200,92 +125,15 @@ def test_interval_solve_breakdown(benchmark, monkeypatch):
     # the satisfied volume must stay within 2% of the cold solve.
     assert incremental.satisfied_volume >= 0.98 * batched.satisfied_volume
 
+    # The CSR refactor's acceptance bar: flow simulation + latency at
+    # least 25% faster than the per-pair loops they replaced.
+    realize_s = _flowsim_plus_latency_s()
     print(
         f"\n{batched.num_intervals}-interval replay on "
         f"{REPLAY_CONFIG['topology_name']} "
-        f"({batched.num_flows:,} flows/interval)"
+        f"({batched.num_flows:,} flows/interval): incremental "
+        f"{solver_s / inc_solver_s:.2f}x vs cold on stage1+stage2; "
+        f"flowsim+latency {realize_s * 1e3:.1f} ms (pre-columnar "
+        f"{PRE_COLUMNAR_FLOWSIM_PLUS_LATENCY_S * 1e3:.1f} ms)"
     )
-    print(
-        f"  batched: "
-        f"stage1 {batched.stage1_lp_s:.3f}s + "
-        f"stage2 {batched.stage2_ssp_s:.3f}s = {solver_s:.3f}s "
-        f"({batched.num_uncontended_pairs} uncontended / "
-        f"{batched.num_contended_pairs} contended pair solves)"
-    )
-    print(
-        f"  contended fill on the same inputs: kernel "
-        f"{kernel_fill_s * 1e3:.1f} ms vs scalar reference "
-        f"{scalar_fill_s * 1e3:.1f} ms"
-    )
-    for phase, seconds in batched.ssp_batch_phase_s.items():
-        print(f"  kernel {phase:<16s} {seconds * 1e3:8.1f} ms")
-    print(
-        f"  incremental (threshold {INCREMENTAL_THRESHOLD}): "
-        f"stage1 {incremental.stage1_lp_s:.3f}s + "
-        f"stage2 {incremental.stage2_ssp_s:.3f}s = {inc_solver_s:.3f}s "
-        f"({solver_s / inc_solver_s:.2f}x vs batched; "
-        f"{incremental.lp_solves_skipped} LP solves patched, "
-        f"{incremental.ssp_state_reused} SSP warm reuses)"
-    )
-    for phase, seconds in batched.phase_s.items():
-        print(f"  phase {phase:<16s} {seconds * 1e3:8.1f} ms")
-
-    realization = _time_realization()
-    for phase, seconds in realization.items():
-        base = PRE_COLUMNAR_BASELINE_S[phase]
-        print(
-            f"  realize {phase:<22s} {seconds * 1e3:8.1f} ms "
-            f"(pre-columnar {base * 1e3:.1f} ms)"
-        )
-    # The CSR refactor's acceptance bar: flow simulation + latency at
-    # least 25% faster than the per-pair loops they replaced.
-    assert (
-        realization["flowsim_plus_latency"]
-        <= 0.75 * PRE_COLUMNAR_BASELINE_S["flowsim_plus_latency"]
-    )
-
-    # Strict load: a corrupt artifact or malformed prior record raises
-    # (BenchHistoryError) instead of silently truncating the trajectory.
-    history = load_history(ARTIFACT)
-    new_record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "git_sha": _git_sha(),
-        "backend": batched.backend,
-        # Top-level (not in config); baseline selection filters on it
-        # (bench_history.ssp_backend_of).  The numpy array kernel is the
-        # only second-stage fill.
-        "ssp_backend": "numpy",
-        "config_name": "twan-20k",
-        "config": {
-            **REPLAY_CONFIG,
-            "incremental_threshold": INCREMENTAL_THRESHOLD,
-        },
-        "batched": batched.as_dict(),
-        "incremental": incremental.as_dict(),
-        "incremental_exact": inc_exact.as_dict(),
-        "kernel_fill_s": kernel_fill_s,
-        "scalar_reference_fill_s": scalar_fill_s,
-        "incremental_speedup_vs_batched": solver_s / inc_solver_s,
-        "realization_s": realization,
-    }
-    # Validate the record we are about to append, so a schema drift in
-    # the replay report fails this run rather than corrupting the file.
-    validate_history_record(new_record)
-    history.append(new_record)
-    payload = {
-        "config": REPLAY_CONFIG,
-        "batched": batched.as_dict(),
-        "incremental": incremental.as_dict(),
-        "incremental_speedup_vs_batched": solver_s / inc_solver_s,
-        "realization_s": realization,
-        "realization_baseline_pre_columnar_s": PRE_COLUMNAR_BASELINE_S,
-        "history": history,
-    }
-    ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"  wrote {ARTIFACT.name} ({len(history)} history records)")
-
-    benchmark.extra_info["stage1_lp_s"] = batched.stage1_lp_s
-    benchmark.extra_info["stage2_ssp_s"] = batched.stage2_ssp_s
-    benchmark.extra_info["phase_s"] = dict(batched.phase_s)
-    benchmark.extra_info["assignment_digest"] = batched.assignment_digest
-    benchmark.extra_info["incremental_speedup"] = solver_s / inc_solver_s
+    assert realize_s <= 0.75 * PRE_COLUMNAR_FLOWSIM_PLUS_LATENCY_S

@@ -13,9 +13,10 @@ headline claims:
 * a same-seed re-run agrees on the identity digest (wall-clock
   timings excluded).
 
-The leg appends a ``kind: "stream"`` record to the same
-``BENCH_interval_solve.json`` trajectory the perf and soak benchmarks
-write, so control-loop regressions surface across PRs the same way.
+The leg appends a ``kind: "stream"`` record to the
+``BENCH_interval_solve.json`` history, next to the soak benchmark's
+records, so control-loop regressions surface across changes the same
+way.  Timings live in ``perfbench/``, the repo's performance record.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.bench_history import append_history_record
 from repro.experiments.stream_study import (
-    append_stream_record,
     run_stream_study,
     stream_config,
     stream_config_name,
@@ -123,7 +124,7 @@ def test_stream_flash_crowd_acceptance(benchmark):
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         git_sha=_git_sha(),
     )
-    total = append_stream_record(ARTIFACT, record)
+    total = append_history_record(ARTIFACT, record)
     name = stream_config_name(
         stream_config(SCENARIO, seed=SEED), TRIGGER
     )

@@ -62,18 +62,12 @@ class ConventionalMCF:
     """Aggregated MCF control plane with hash-split data plane.
 
     Args:
-        objective_epsilon: The ε of the site-level objective.
         hash_salt: Base salt for the ECMP hash.
     """
 
     scheme_name = "Conventional-MCF"
 
-    def __init__(
-        self,
-        objective_epsilon: float | None = None,
-        hash_salt: int = 0,
-    ) -> None:
-        self.objective_epsilon = objective_epsilon
+    def __init__(self, hash_salt: int = 0) -> None:
         self.hash_salt = hash_salt
 
     def solve(
@@ -90,9 +84,7 @@ class ConventionalMCF:
                 conventional TE never sees individual flows).
             epoch: Hash epoch modelling five-tuple churn over time.
         """
-        problem = MaxAllFlowProblem(
-            topology, demands, epsilon=self.objective_epsilon
-        )
+        problem = MaxAllFlowProblem(topology, demands)
         start = monotonic()
         site_alloc = solve_max_site_flow(problem, demands.site_demands())
         assignment, satisfied = self.hash_assign(

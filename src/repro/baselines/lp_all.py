@@ -30,16 +30,9 @@ __all__ = ["LPAllTE"]
 
 
 class LPAllTE:
-    """Endpoint-granular MCF LP — the optimality reference.
-
-    Args:
-        objective_epsilon: The ε of objective (1); ``None`` auto-scales.
-    """
+    """Endpoint-granular MCF LP — the optimality reference."""
 
     scheme_name = "LP-all"
-
-    def __init__(self, objective_epsilon: float | None = None) -> None:
-        self.objective_epsilon = objective_epsilon
 
     def solve(
         self, topology: "TwoLayerTopology", demands: "DemandMatrix"
@@ -54,9 +47,7 @@ class LPAllTE:
             ValueError: when the model exceeds the exact-solver size cap —
                 the repo's analogue of the paper's out-of-memory failures.
         """
-        problem = MaxAllFlowProblem(
-            topology, demands, epsilon=self.objective_epsilon
-        )
+        problem = MaxAllFlowProblem(topology, demands)
         start = monotonic()
         solution = solve_max_all_flow(problem, relaxed=True)
         runtime = monotonic() - start

@@ -59,7 +59,6 @@ class NCFlowTE:
             (NCFlow's usual operating point).
         paths_per_commodity: Tunnels each site pair may use (NCFlow's
             formulation routes one path per commodity).
-        objective_epsilon: The ε of objective (1); ``None`` auto-scales.
     """
 
     scheme_name = "NCFlow"
@@ -68,7 +67,6 @@ class NCFlowTE:
         self,
         num_clusters: int | None = None,
         paths_per_commodity: int = 2,
-        objective_epsilon: float | None = None,
     ) -> None:
         if num_clusters is not None and num_clusters < 1:
             raise ValueError("num_clusters must be positive")
@@ -76,7 +74,6 @@ class NCFlowTE:
             raise ValueError("paths_per_commodity must be positive")
         self.num_clusters = num_clusters
         self.paths_per_commodity = paths_per_commodity
-        self.objective_epsilon = objective_epsilon
 
     # -- clustering --------------------------------------------------------
 
@@ -342,9 +339,7 @@ class NCFlowTE:
             network=sub_net, catalog=sub_catalog, layout=topology.layout
         )
         sub_demands = DemandMatrix([demands.pair(k) for k in pair_ids])
-        problem = MaxAllFlowProblem(
-            sub_topology, sub_demands, epsilon=self.objective_epsilon
-        )
+        problem = MaxAllFlowProblem(sub_topology, sub_demands)
         t0 = monotonic()
         solution = solve_max_all_flow(problem, relaxed=True)
         elapsed = monotonic() - t0

@@ -46,22 +46,15 @@ class POPTE:
         num_partitions: Subproblems ``P``; each receives ``1/P`` of every
             link's capacity and a uniformly random ``1/P`` of the flows.
         seed: Partitioning seed.
-        objective_epsilon: The ε of objective (1); ``None`` auto-scales.
     """
 
     scheme_name = "POP"
 
-    def __init__(
-        self,
-        num_partitions: int = 4,
-        seed: int = 0,
-        objective_epsilon: float | None = None,
-    ) -> None:
+    def __init__(self, num_partitions: int = 4, seed: int = 0) -> None:
         if num_partitions < 1:
             raise ValueError("num_partitions must be positive")
         self.num_partitions = num_partitions
         self.seed = seed
-        self.objective_epsilon = objective_epsilon
 
     def solve(
         self, topology: TwoLayerTopology, demands: DemandMatrix
@@ -124,11 +117,7 @@ class POPTE:
             if sub_demands.total_demand <= 0:
                 sub_runtimes.append(0.0)
                 continue
-            problem = MaxAllFlowProblem(
-                sub_topology,
-                sub_demands,
-                epsilon=self.objective_epsilon,
-            )
+            problem = MaxAllFlowProblem(sub_topology, sub_demands)
             t0 = monotonic()
             solution = solve_max_all_flow(problem, relaxed=True)
             sub_runtimes.append(monotonic() - t0)

@@ -61,15 +61,14 @@ class TEController:
         self,
         database: TEDatabase,
         optimizer: MegaTEOptimizer | None = None,
-        delta_publish: bool = True,
     ) -> None:
         self.database = database
         self.optimizer = optimizer or MegaTEOptimizer()
         self.current_version = 0
         self.last_result: "TEResult | None" = None
-        #: Skip database writes for endpoints whose paths did not change
-        #: since the last publish (most endpoints, most intervals).
-        self.delta_publish = delta_publish
+        #: Paths of the last config written per endpoint: a publish
+        #: skips endpoints whose paths did not change (most endpoints,
+        #: most intervals).
         self._published_paths: dict[int, dict[int, tuple[str, ...]]] = {}
         #: Endpoint configs written during the most recent publish.
         self.last_publish_writes = 0
@@ -98,9 +97,9 @@ class TEController:
         """Write per-endpoint configs and bump the global version.
 
         Only endpoints that actually source flows get a config entry, and
-        with ``delta_publish`` only endpoints whose paths *changed* since
-        the last publish are rewritten — the common case in production,
-        where successive intervals repin few flows.  The version key is
+        only endpoints whose paths *changed* since the last publish are
+        rewritten — the common case in production, where successive
+        intervals repin few flows.  The version key is
         written **last** so an agent that sees the new version is
         guaranteed to find the new configs (write ordering is the paper's
         eventual-consistency correctness argument).
@@ -128,10 +127,7 @@ class TEController:
             per_endpoint.setdefault(src, {})[dst] = paths[int(assigned[i])]
         writes = 0
         for endpoint_id, paths in per_endpoint.items():
-            if (
-                self.delta_publish
-                and self._published_paths.get(endpoint_id) == paths
-            ):
+            if self._published_paths.get(endpoint_id) == paths:
                 continue
             self.database.put(
                 config_key(endpoint_id),

@@ -35,14 +35,10 @@ class MaxAllFlowProblem:
         topology: Contracted two-layer topology (sites, tunnels, endpoints).
         demands: Endpoint-pair demands per site pair, aligned with the
             topology's tunnel-catalog pair ordering.
-        epsilon: The ``ε`` of objective (1), trading throughput against
-            path length.  ``None`` auto-selects ``0.1 / max(w_t)`` so the
-            shortness preference never dominates throughput.
     """
 
     topology: "TwoLayerTopology"
     demands: "DemandMatrix"
-    epsilon: float | None = None
 
     def __post_init__(self) -> None:
         if self.demands.num_site_pairs != self.topology.catalog.num_pairs:
@@ -61,9 +57,11 @@ class MaxAllFlowProblem:
 
     @property
     def effective_epsilon(self) -> float:
-        """The ε actually used in objectives."""
-        if self.epsilon is not None:
-            return self.epsilon
+        """The ``ε`` of objective (1): ``0.1 / max(w_t)``.
+
+        Small enough that the path-length preference never dominates
+        throughput.
+        """
         return self.siteflow_solver.default_epsilon
 
     @property

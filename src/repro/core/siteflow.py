@@ -388,9 +388,6 @@ def solve_max_site_flow(
             feasible, F = 0 works).
     """
     solver = SiteFlowSolver.for_topology(problem.topology)
-    if epsilon is None and tunnel_weights is None:
-        # Honor a problem-level ε override (objective_epsilon).
-        epsilon = problem.effective_epsilon
     return solver.solve(
         np.asarray(site_demands, dtype=np.float64),
         capacities=capacities,

@@ -123,7 +123,6 @@ class MegaTEOptimizer:
 
     Args:
         fastssp_epsilon: Precision knob ``ε'`` of FastSSP (App. A.2).
-        objective_epsilon: The ``ε`` of objective (1); ``None`` auto-scales.
         qos_order: Priority order of QoS classes; defaults to the paper's
             class 1 → 2 → 3.
         incremental: Carry solve state across consecutive
@@ -159,7 +158,6 @@ class MegaTEOptimizer:
     def __init__(
         self,
         fastssp_epsilon: float = 0.1,
-        objective_epsilon: float | None = None,
         qos_order: tuple[QoSClass, ...] = PRIORITY_ORDER,
         incremental: bool = False,
         delta_threshold: float = 0.0,
@@ -170,7 +168,6 @@ class MegaTEOptimizer:
         if not delta_threshold >= 0:
             raise ValueError("delta_threshold must be >= 0")
         self.fastssp_epsilon = fastssp_epsilon
-        self.objective_epsilon = objective_epsilon
         self.qos_order = qos_order
         self.incremental = bool(incremental)
         self.delta_threshold = delta_threshold
@@ -277,9 +274,7 @@ class MegaTEOptimizer:
         self, topology: TwoLayerTopology, demands: DemandMatrix
     ) -> TEResult:
         tracer = get_tracer()
-        problem = MaxAllFlowProblem(
-            topology, demands, epsilon=self.objective_epsilon
-        )
+        problem = MaxAllFlowProblem(topology, demands)
         start = monotonic()
         phase = dict.fromkeys(PHASE_KEYS, 0.0)
         with tracer.span("te.phase.matrix_build") as sp:

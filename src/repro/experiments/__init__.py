@@ -46,14 +46,12 @@ from .interval_replay import (
 )
 from .production import ProductionScenario, build_production_scenario
 from .soak_study import (
-    append_soak_record,
     run_soak_study,
     soak_config,
     soak_config_name,
     soak_history_record,
 )
 from .stream_study import (
-    append_stream_record,
     run_stream_study,
     stream_config,
     stream_config_name,
@@ -95,10 +93,8 @@ __all__ = [
     "soak_config",
     "soak_config_name",
     "soak_history_record",
-    "append_soak_record",
     "run_stream_study",
     "stream_config",
     "stream_config_name",
     "stream_history_record",
-    "append_stream_record",
 ]

@@ -14,8 +14,8 @@ assignment, which makes "two solver configurations produce bit-identical
 allocations over a whole replay" a one-line assertion — the equivalence
 contract the batched second stage is held to.
 
-Used by ``benchmarks/test_perf_interval_solve.py`` (trajectory artifact)
-and the tier-1 perf smoke / equivalence tests.
+Used by ``benchmarks/test_perf_interval_solve.py`` and the tier-1 perf
+smoke / equivalence tests.
 
 :func:`run_cold_vs_incremental` is the comparison mode: the same replay
 once cold and once with the incremental engine
@@ -63,9 +63,6 @@ class IntervalReplayReport:
         assignment_digest: SHA-256 over every interval's per-pair
             assignment arrays, in interval order — equal digests mean
             bit-identical allocations.
-        backend: Stage-1 LP solver, always ``"scipy"`` (HiGHS through
-            ``scipy.optimize.linprog``); kept because the bench-history
-            schema pins the field.
         lp_solves: Full LP solves across the replay.
         lp_solves_skipped: Class solves served by the delta fast path.
         pairs_delta_patched: Demand-changed site pairs absorbed by the
@@ -90,7 +87,6 @@ class IntervalReplayReport:
     num_uncontended_pairs: int = 0
     num_contended_pairs: int = 0
     assignment_digest: str = ""
-    backend: str = "scipy"
     lp_solves: int = 0
     lp_solves_skipped: int = 0
     pairs_delta_patched: int = 0
@@ -111,7 +107,6 @@ class IntervalReplayReport:
             "num_uncontended_pairs": self.num_uncontended_pairs,
             "num_contended_pairs": self.num_contended_pairs,
             "assignment_digest": self.assignment_digest,
-            "backend": self.backend,
             "lp_solves": self.lp_solves,
             "lp_solves_skipped": self.lp_solves_skipped,
             "pairs_delta_patched": self.pairs_delta_patched,

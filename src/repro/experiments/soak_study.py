@@ -1,13 +1,11 @@
 """Soak study: scenario-matrix soak runs with SLO-gated history records.
 
 Thin experiment wrapper around the soak engine
-(:mod:`repro.simulation.soak`): it pins the study configuration (the
-same way the replay bench pins its perf configs), builds the TWAN
-scenario and diurnal sequence, switches on the incremental
-cross-interval engine, and turns the resulting
+(:mod:`repro.simulation.soak`): it pins the study configuration,
+builds the TWAN scenario and diurnal sequence, switches on the
+incremental cross-interval engine, and turns the resulting
 :class:`~repro.simulation.soak.SoakReport` into a ``soak`` bench-history
-record so failure-behavior regressions are caught like perf
-regressions.
+record so failure-behavior regressions are caught across changes.
 
 Record naming: the scenario mix, topology scale, horizon, and seed are
 all part of the config name (``soak-full-mix-twan-20k-50i-s0-r2``),
@@ -19,8 +17,6 @@ trajectory never mixes two config shapes.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..core import MegaTEOptimizer
 from ..simulation.soak import (
     SLOSpec,
@@ -30,7 +26,7 @@ from ..simulation.soak import (
 )
 from ..traffic import DiurnalSequence
 from .bench_history import (
-    append_history_record, scale_label, validate_history_record,
+    scale_label, validate_history_record,
 )
 from .common import build_scenario
 
@@ -40,7 +36,6 @@ __all__ = [
     "soak_config_name",
     "run_soak_study",
     "soak_history_record",
-    "append_soak_record",
 ]
 
 #: Pinned defaults of the soak trajectory.  Records sharing a config
@@ -151,10 +146,6 @@ def soak_history_record(
         "timestamp": timestamp,
         "git_sha": git_sha,
         "kind": "soak",
-        # The SLO gate baselines only against records from the same
-        # FastSSP kernel (tools/check_slo_regression.py); the batched
-        # numpy kernel is the only one.
-        "ssp_backend": "numpy",
         "config_name": soak_config_name(cfg),
         "config": {k: v for k, v in cfg.items() if k != "scenario"},
         "scenario": report.scenario,
@@ -170,15 +161,3 @@ def soak_history_record(
     validate_history_record(record)
     return record
 
-
-def append_soak_record(path: Path | str, record: dict) -> int:
-    """Append one validated soak record to a history artifact in place.
-
-    Only extends ``history`` — whatever snapshot block the perf
-    benchmarks last wrote is preserved.  Loads strictly first, refusing
-    to append after a corrupt or config-drifted history.
-
-    Returns:
-        The history length after the append.
-    """
-    return append_history_record(path, record)

@@ -19,7 +19,7 @@ ways —
 
 The outcome dict becomes a ``kind: "stream"`` bench-history record so
 control-loop regressions (oracle ratio, solve budget, QoS-1 floor)
-are caught across PRs exactly like perf and soak regressions.
+are caught across changes exactly like soak regressions.
 
 Record naming mirrors the soak study: scenario, trigger, topology
 scale, horizon, and seed are all part of the config name
@@ -29,8 +29,6 @@ between runs has to vary the name too.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from ..core import MegaTEOptimizer
 from ..simulation.admission import AdmissionConfig
@@ -42,7 +40,7 @@ from ..simulation.streaming import (
     stream_scenario_events,
 )
 from .bench_history import (
-    append_history_record, scale_label, validate_history_record,
+    scale_label, validate_history_record,
 )
 from .common import build_scenario
 
@@ -52,7 +50,6 @@ __all__ = [
     "stream_config_name",
     "run_stream_study",
     "stream_history_record",
-    "append_stream_record",
 ]
 
 #: Pinned defaults of the stream trajectory.  As with the soak study,
@@ -231,14 +228,13 @@ def stream_history_record(
     """A validated ``stream`` history record for one finished study."""
     cfg = study["config"]
     config = {k: v for k, v in cfg.items() if k != "scenario"}
-    # The shared trajectory tooling keys comparable runs on the perf
-    # config vocabulary; an epoch is the stream's interval.
+    # The history schema keys comparable runs on ``num_intervals``; an
+    # epoch is the stream's interval.
     config["num_intervals"] = config.pop("num_epochs")
     record = {
         "timestamp": timestamp,
         "git_sha": git_sha,
         "kind": "stream",
-        "ssp_backend": "numpy",
         "config_name": stream_config_name(cfg, study["trigger"]),
         "config": config,
         "scenario": study["scenario"],
@@ -256,12 +252,3 @@ def stream_history_record(
     }
     validate_history_record(record)
     return record
-
-
-def append_stream_record(path: Path | str, record: dict) -> int:
-    """Append one validated stream record to a history artifact.
-
-    Returns:
-        The history length after the append.
-    """
-    return append_history_record(path, record)

@@ -2,8 +2,8 @@
 
 Every timing, counter, and latency record in the repo flows through this
 package — the ad-hoc ``time.perf_counter()`` calls and hand-rolled stats
-dicts it replaces are banned by lint outside ``repro.obs`` and
-``benchmarks/``.  Three pieces:
+dicts it replaces are banned by lint outside ``repro.obs``.  Three
+pieces:
 
 * :mod:`repro.obs.tracing` — a zero-dependency span tracer: nested
   spans with attributes, a thread-safe in-process collector, JSONL

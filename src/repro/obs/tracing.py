@@ -25,8 +25,8 @@ from typing import Any, IO, Iterable
 __all__ = ["Span", "Tracer", "get_tracer", "monotonic"]
 
 #: The repo's one blessed monotonic clock.  Code outside ``repro.obs``
-#: and ``benchmarks/`` is lint-banned from calling ``time.perf_counter``
-#: directly and uses this alias (or spans) instead.
+#: is lint-banned from calling ``time.perf_counter`` directly and uses
+#: this alias (or spans) instead.
 monotonic = time.perf_counter
 
 _span_ids = itertools.count(1)

@@ -6,8 +6,8 @@ and collecting the time series the production studies report: satisfied
 demand, delivered volume, per-class latency, peak utilization.
 
 The loop itself is :func:`repro.simulation.streaming.control_loop` fed
-one whole-matrix event per interval under a zero-threshold delta
-trigger (solve whenever anything moved).  Stale measured inputs — the
+one whole-matrix event per interval under the oracle trigger, so
+every interval is solved again.  Stale measured inputs — the
 paper's weak coupling, where the controller only knows what it
 measured — are the loop's one-epoch actuation delay: the allocation
 serving interval ``n`` was solved on interval ``n-1``'s demands.
@@ -24,7 +24,7 @@ import numpy as np
 from ..core.qos import QoSClass
 from ..obs import get_registry, get_tracer
 from .latency import compute_flow_latencies
-from .streaming import DeltaTrigger, MatrixSet, control_loop
+from .streaming import MatrixSet, OracleTrigger, control_loop
 
 if TYPE_CHECKING:
     from ..topology.contraction import TwoLayerTopology
@@ -51,8 +51,7 @@ class IntervalRecord:
             delivered end to end (differs when solving on stale demands).
         qos1_latency_ms: Volume-weighted class-1 latency.
         max_utilization: Peak link utilization.
-        runtime_s: Runtime of the solve issued this interval (0 when
-            no site-pair total moved and no solve ran).
+        runtime_s: Runtime of the solve issued this interval.
     """
 
     interval: int
@@ -114,9 +113,7 @@ def run_intervals(
 
     Returns:
         An :class:`IntervalSeries`; each record's delivered fraction is
-        measured against the interval's *actual* traffic.  An interval
-        where no site-pair total moved is not re-solved: the previous
-        allocation serves it and its ``runtime_s`` is 0.
+        measured against the interval's *actual* traffic.
     """
     matrices = list(matrices)
     series = IntervalSeries()
@@ -141,7 +138,7 @@ def run_intervals(
         ),
         len(matrices),
         1.0,
-        DeltaTrigger(threshold=0.0),
+        OracleTrigger(),
         solver,
         delay=int(stale_inputs),
     )

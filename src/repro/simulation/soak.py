@@ -15,8 +15,7 @@ events firing on schedules, all four planes live at once:
   caller-supplied optimizer, typically with the incremental engine
   active: the schedule compiles into one whole-matrix event per
   interval plus one topology event per change of the cut fibers, and
-  the loop runs lockstep (zero-threshold delta trigger, no actuation
-  delay);
+  the loop runs lockstep (oracle trigger, no actuation delay);
 * **data plane** — the loop realizes each assignment with the flow
   simulator, so overload during a flash crowd shows up as lost
   delivered volume;
@@ -59,8 +58,8 @@ from ..topology.failures import sample_failure_scenarios
 from ..traffic import DiurnalSequence
 from ..traffic.demand import DemandMatrix
 from .streaming import (
-    DeltaTrigger,
     MatrixSet,
+    OracleTrigger,
     StreamEvent,
     TopologyChange,
     control_loop,
@@ -802,12 +801,11 @@ def run_soak(
 
     The schedule compiles into stream events (:func:`compile_schedule`)
     that :func:`~repro.simulation.streaming.control_loop` drains
-    lockstep — a zero-threshold :class:`DeltaTrigger` and no actuation
-    delay, so every interval that moved is solved and served at once;
-    the loop's forced full solve on cut and heal intervals resets the
-    incremental engine there.  After each interval the config version
-    is published and the :class:`~repro.controlplane.publisher.SyncFleet`
-    advances across the interval tick by tick.
+    lockstep — an :class:`OracleTrigger` and no actuation delay, so
+    every interval is solved and served at once.  After each interval
+    the config version is published and the
+    :class:`~repro.controlplane.publisher.SyncFleet` advances across the
+    interval tick by tick.
 
     The run *owns the metrics registry*
     (:func:`~repro.simulation.streaming.owned_registry`): the SLO
@@ -923,7 +921,7 @@ def run_soak(
             ),
             num_intervals,
             interval_s,
-            DeltaTrigger(threshold=0.0),
+            OracleTrigger(),
             optimizer,
             delay=0,
         ):

@@ -1,4 +1,4 @@
-"""Schema validation of the interval-solve benchmark history."""
+"""Schema validation of the soak and stream bench history."""
 
 from __future__ import annotations
 
@@ -7,36 +7,27 @@ import json
 import pytest
 
 from repro.experiments.bench_history import (
+    COMMON_KEYS,
+    CONFIG_KEYS,
     SLO_KEYS,
     SOAK_REQUIRED_KEYS,
     STREAM_REQUIRED_KEYS,
     BenchHistoryError,
     append_history_record,
-    config_name_of,
     load_history,
-    record_kind_of,
     validate_history_record,
 )
 
 DIGEST = "0" * 64
 
 
-def _mode_summary() -> dict:
-    return {
-        "stage1_lp_s": 0.5,
-        "stage2_ssp_s": 0.2,
-        "num_intervals": 10,
-        "assignment_digest": DIGEST,
-        "backend": "scipy",
-    }
-
-
-def _valid_record() -> dict:
-    """A legacy-shaped record: it still carries the ``serial`` mode."""
+def _legacy_perf_record() -> dict:
+    """A replay-timing record of the retired ``perf`` kind."""
     return {
         "timestamp": "2026-08-06T00:00:00Z",
         "git_sha": "abcdef123456",
         "backend": "scipy",
+        "config_name": "twan-20k",
         "config": {
             "topology_name": "twan",
             "total_endpoints": 20_000,
@@ -45,76 +36,62 @@ def _valid_record() -> dict:
             "seed": 42,
         },
         "realization_s": {"flowsim": 0.01, "latency": 0.02},
-        "batched": _mode_summary(),
-        "serial": _mode_summary(),
-        "incremental": _mode_summary(),
-        "incremental_speedup_vs_batched": 1.8,
     }
 
 
 def test_valid_record_passes():
-    validate_history_record(_valid_record())
-
-
-def test_record_without_serial_mode_passes():
-    """New records drop the removed serial second stage."""
-    record = _valid_record()
-    del record["serial"]
-    validate_history_record(record)
+    validate_history_record(_soak_record())
+    validate_history_record(_stream_record())
 
 
 def test_extra_keys_are_ignored():
-    record = _valid_record()
+    record = _soak_record()
     record["retired_leg"] = None
-    record["batched"]["new_field"] = 123
+    record["kernel"] = "numpy"
+    record["slo"]["new_metric"] = 123
     validate_history_record(record)
 
 
-@pytest.mark.parametrize("key", [
-    "timestamp", "git_sha", "backend", "config", "realization_s",
-    "batched", "incremental", "incremental_speedup_vs_batched",
-])
+@pytest.mark.parametrize("key", COMMON_KEYS)
 def test_missing_required_key_raises(key):
-    record = _valid_record()
-    del record[key]
-    with pytest.raises(BenchHistoryError, match=key):
+    """Every record kind requires the shared keys, ``kind`` included."""
+    for record in (_soak_record(), _stream_record()):
+        del record[key]
+        with pytest.raises(BenchHistoryError, match=key):
+            validate_history_record(record)
+
+
+@pytest.mark.parametrize("kind", ["perf", None])
+def test_perf_records_rejected(kind):
+    """The retired replay-timing kind, labelled or not, no longer loads."""
+    record = _legacy_perf_record()
+    if kind is not None:
+        record["kind"] = kind
+    with pytest.raises(BenchHistoryError, match="kind"):
         validate_history_record(record)
 
 
 def test_bad_digest_raises():
-    """A legacy record's optional serial mode is still validated."""
-    record = _valid_record()
-    record["serial"]["assignment_digest"] = "deadbeef"
-    with pytest.raises(BenchHistoryError, match="assignment_digest"):
-        validate_history_record(record)
+    for digest in (None, int("1" * 64)):
+        record = _stream_record()
+        record["identity_digest"] = digest
+        with pytest.raises(BenchHistoryError, match="identity_digest"):
+            validate_history_record(record)
 
 
 def test_negative_timing_raises():
-    record = _valid_record()
-    record["batched"]["stage1_lp_s"] = -0.1
-    with pytest.raises(BenchHistoryError, match="stage1_lp_s"):
-        validate_history_record(record)
-
-
-def test_negative_realization_raises():
-    record = _valid_record()
-    record["realization_s"]["flowsim"] = -1.0
-    with pytest.raises(BenchHistoryError, match="flowsim"):
+    record = _soak_record()
+    record["slo"]["solver_phase_p99_s"] = -0.1
+    with pytest.raises(BenchHistoryError, match="solver_phase_p99_s"):
         validate_history_record(record)
 
 
 def test_missing_config_key_raises():
-    record = _valid_record()
-    del record["config"]["seed"]
-    with pytest.raises(BenchHistoryError, match="seed"):
-        validate_history_record(record)
-
-
-def test_nonpositive_speedup_raises():
-    record = _valid_record()
-    record["incremental_speedup_vs_batched"] = 0.0
-    with pytest.raises(BenchHistoryError, match="speedup"):
-        validate_history_record(record)
+    for key in CONFIG_KEYS:
+        for record in (_soak_record(), _stream_record()):
+            del record["config"][key]
+            with pytest.raises(BenchHistoryError, match=key):
+                validate_history_record(record)
 
 
 def test_index_named_in_error():
@@ -134,10 +111,11 @@ def test_load_snapshot_only_artifact_is_empty(tmp_path):
 
 def test_load_valid_history(tmp_path):
     path = tmp_path / "bench.json"
-    path.write_text(json.dumps({"history": [_valid_record()]}))
+    path.write_text(
+        json.dumps({"history": [_soak_record(), _stream_record()]})
+    )
     history = load_history(path)
-    assert len(history) == 1
-    assert history[0]["backend"] == "scipy"
+    assert [r["kind"] for r in history] == ["soak", "stream"]
 
 
 def test_load_corrupt_json_raises(tmp_path):
@@ -155,7 +133,7 @@ def test_load_non_object_artifact_raises(tmp_path):
 
 
 def test_load_invalid_record_raises(tmp_path):
-    record = _valid_record()
+    record = _soak_record()
     del record["git_sha"]
     path = tmp_path / "bench.json"
     path.write_text(json.dumps({"history": [record]}))
@@ -163,38 +141,21 @@ def test_load_invalid_record_raises(tmp_path):
         load_history(path)
 
 
-def _million_record() -> dict:
-    """A record of the second named config (the 1M-endpoint replay)."""
-    record = _valid_record()
-    record["config_name"] = "twan-1m"
-    record["config"] = {
-        "topology_name": "twan",
-        "total_endpoints": 1_000_000,
-        "num_site_pairs": 60,
-        "num_intervals": 3,
-        "seed": 42,
-    }
-    record["sharded"] = _mode_summary()
+def _other_soak_record() -> dict:
+    """A soak record of a second named config (another scenario)."""
+    record = _soak_record()
+    record["config_name"] = "soak-link-flap-twan-20k-50i-s1"
+    record["scenario"] = "link-flap"
+    record["seed"] = 1
+    record["config"] = {**record["config"], "seed": 1}
     return record
 
 
 class TestMixedConfigHistories:
-    def test_config_name_of_explicit_and_derived(self):
-        assert config_name_of(_million_record()) == "twan-1m"
-        # Legacy records carry no config_name; the derived name keeps
-        # their trajectory coherent.
-        assert config_name_of(_valid_record()) == "twan-20k"
-
     def test_empty_config_name_raises(self):
-        record = _valid_record()
+        record = _soak_record()
         record["config_name"] = ""
         with pytest.raises(BenchHistoryError, match="config_name"):
-            validate_history_record(record)
-
-    def test_optional_sharded_mode_is_validated(self):
-        record = _million_record()
-        record["sharded"]["assignment_digest"] = "short"
-        with pytest.raises(BenchHistoryError, match="sharded"):
             validate_history_record(record)
 
     def test_mixed_config_history_loads_and_filters(self, tmp_path):
@@ -203,27 +164,31 @@ class TestMixedConfigHistories:
             json.dumps(
                 {
                     "history": [
-                        _valid_record(),
-                        _million_record(),
-                        _valid_record(),
+                        _soak_record(),
+                        _other_soak_record(),
+                        _stream_record(),
+                        _soak_record(),
                     ]
                 }
             )
         )
-        assert len(load_history(path)) == 3
-        assert len(load_history(path, config_name="twan-20k")) == 2
-        only_1m = load_history(path, config_name="twan-1m")
-        assert len(only_1m) == 1
-        assert only_1m[0]["config"]["total_endpoints"] == 1_000_000
+        assert len(load_history(path)) == 4
+        name = _soak_record()["config_name"]
+        assert len(load_history(path, config_name=name)) == 2
+        only_flap = load_history(
+            path, config_name="soak-link-flap-twan-20k-50i-s1"
+        )
+        assert len(only_flap) == 1
+        assert only_flap[0]["config"]["seed"] == 1
         assert load_history(path, config_name="absent") == []
 
     def test_same_name_divergent_config_raises(self, tmp_path):
         """A config drifting under a stable name corrupts the trajectory."""
-        drifted = _valid_record()
-        drifted["config"]["num_site_pairs"] = 61
+        drifted = _other_soak_record()
+        drifted["config_name"] = _soak_record()["config_name"]
         path = tmp_path / "bench.json"
         path.write_text(
-            json.dumps({"history": [_valid_record(), drifted]})
+            json.dumps({"history": [_soak_record(), drifted]})
         )
         with pytest.raises(BenchHistoryError, match="identical configs"):
             load_history(path)
@@ -262,13 +227,15 @@ class TestSoakRecords:
         validate_history_record(_soak_record())
 
     def test_record_kind_dispatch(self):
-        assert record_kind_of(_soak_record()) == "soak"
-        # Perf records predate the kind field; absent means perf.
-        assert record_kind_of(_valid_record()) == "perf"
-        assert record_kind_of({"kind": ""}) == "perf"
+        # The kind picks the schema: a soak record relabelled as a
+        # stream record is held to the stream keys it lacks.
+        record = _soak_record()
+        record["kind"] = "stream"
+        with pytest.raises(BenchHistoryError, match="trigger"):
+            validate_history_record(record)
 
     def test_unknown_kind_raises(self):
-        record = _valid_record()
+        record = _soak_record()
         record["kind"] = "mystery"
         with pytest.raises(BenchHistoryError, match="kind"):
             validate_history_record(record)
@@ -280,15 +247,6 @@ class TestSoakRecords:
         record = _soak_record()
         del record[key]
         with pytest.raises(BenchHistoryError, match=key):
-            validate_history_record(record)
-
-    def test_soak_record_without_kind_fails_as_perf(self):
-        # Dropping the kind discriminator demotes the record to the
-        # perf schema, which it cannot satisfy.
-        record = _soak_record()
-        del record["kind"]
-        assert record_kind_of(record) == "perf"
-        with pytest.raises(BenchHistoryError):
             validate_history_record(record)
 
     @pytest.mark.parametrize("key", SLO_KEYS)
@@ -328,28 +286,21 @@ class TestSoakRecords:
         with pytest.raises(BenchHistoryError, match="seed"):
             validate_history_record(record)
 
-    def test_mixed_perf_and_soak_history_loads(self, tmp_path):
+    def test_perf_record_in_history_rejected(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text(
             json.dumps(
                 {
                     "history": [
-                        _valid_record(),
                         _soak_record(),
-                        _million_record(),
+                        _legacy_perf_record(),
                         _soak_record(),
                     ]
                 }
             )
         )
-        history = load_history(path)
-        assert [record_kind_of(r) for r in history] == [
-            "perf", "soak", "perf", "soak",
-        ]
-        soak_only = load_history(
-            path, config_name="soak-full-mix-twan-20k-50i-s0"
-        )
-        assert len(soak_only) == 2
+        with pytest.raises(BenchHistoryError, match=r"history\[1\]"):
+            load_history(path)
 
     def test_soak_same_name_divergent_config_raises(self, tmp_path):
         """The same-name invariant applies across kinds too."""
@@ -367,7 +318,7 @@ class TestSoakRecords:
         del record["slo"]["availability"]
         path = tmp_path / "bench.json"
         path.write_text(
-            json.dumps({"history": [_valid_record(), record]})
+            json.dumps({"history": [_stream_record(), record]})
         )
         with pytest.raises(BenchHistoryError, match=r"history\[1\]"):
             load_history(path)
@@ -403,7 +354,11 @@ class TestStreamRecords:
         validate_history_record(_stream_record())
 
     def test_record_kind_dispatch(self):
-        assert record_kind_of(_stream_record()) == "stream"
+        # A stream record relabelled as soak is held to the SLO block.
+        record = _stream_record()
+        record["kind"] = "soak"
+        with pytest.raises(BenchHistoryError, match="slo"):
+            validate_history_record(record)
 
     @pytest.mark.parametrize(
         "key", [k for k in STREAM_REQUIRED_KEYS if k != "kind"]
@@ -454,24 +409,21 @@ class TestStreamRecords:
         with pytest.raises(BenchHistoryError, match="num_intervals"):
             validate_history_record(record)
 
-    def test_mixed_three_kind_history_loads(self, tmp_path):
+    def test_mixed_soak_and_stream_history_loads(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text(
             json.dumps(
                 {
                     "history": [
-                        _valid_record(),
                         _soak_record(),
                         _stream_record(),
-                        _million_record(),
+                        _other_soak_record(),
                     ]
                 }
             )
         )
         history = load_history(path)
-        assert [record_kind_of(r) for r in history] == [
-            "perf", "soak", "stream", "perf",
-        ]
+        assert [r["kind"] for r in history] == ["soak", "stream", "soak"]
         stream_only = load_history(
             path, config_name="stream-flash-crowd-hybrid-twan-6k-96e-s0"
         )
@@ -495,9 +447,7 @@ class TestAppendHistoryRecord:
         assert append_history_record(path, _stream_record()) == 1
         assert append_history_record(path, _soak_record()) == 2
         history = load_history(path)
-        assert [record_kind_of(r) for r in history] == [
-            "stream", "soak",
-        ]
+        assert [r["kind"] for r in history] == ["stream", "soak"]
 
     def test_preserves_snapshot_payload(self, tmp_path):
         path = tmp_path / "bench.json"
@@ -505,7 +455,7 @@ class TestAppendHistoryRecord:
             json.dumps(
                 {
                     "config": {"note": "latest snapshot"},
-                    "history": [_valid_record()],
+                    "history": [_soak_record()],
                 }
             )
         )

@@ -274,19 +274,7 @@ class TestDeltaPublish:
         assert controller.last_publish_writes == 0
         assert controller.current_version == 2
 
-    def test_delta_disabled_rewrites_everything(
-        self, tiny_topology, tiny_demands
-    ):
-        db = TEDatabase(enforce_capacity=False)
-        controller = TEController(
-            db, optimizer=MegaTEOptimizer(), delta_publish=False
-        )
-        controller.run_interval(tiny_topology, tiny_demands, now=0.0)
-        first = controller.last_publish_writes
-        controller.run_interval(tiny_topology, tiny_demands, now=300.0)
-        assert controller.last_publish_writes == first
-
-    def test_agents_still_converge_after_delta_publish(
+    def test_agents_still_converge_after_partial_publish(
         self, tiny_topology, tiny_demands
     ):
         import numpy as np

@@ -119,11 +119,6 @@ class TestFormulation:
         )
         assert problem.effective_epsilon == pytest.approx(0.1 / max_w)
 
-    def test_explicit_epsilon_respected(self, tiny_topology):
-        demands = DemandMatrix([make_pair_demands([1.0])])
-        problem = MaxAllFlowProblem(tiny_topology, demands, epsilon=0.01)
-        assert problem.effective_epsilon == 0.01
-
     def test_tunnel_offsets(self, b4_topology, b4_demands):
         problem = MaxAllFlowProblem(b4_topology, b4_demands)
         offsets = problem.tunnel_offsets

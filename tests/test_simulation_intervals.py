@@ -82,6 +82,39 @@ class TestRunIntervals:
         )
         assert not np.isnan(series.mean_qos1_latency_ms)
 
+    def test_unchanged_pair_totals_still_resolve(self, tiny_topology):
+        """An interval whose flows moved is solved, even at equal totals.
+
+        Swapping a QoS-1 and a QoS-3 flow's volumes keeps the site-pair
+        total bit-equal but changes what a cold solve assigns, so the
+        previous allocation must not serve the second interval.
+        """
+        def matrix(volumes):
+            return DemandMatrix(
+                [
+                    make_pair_demands(
+                        volumes, qos=[1, 3, 2, 2], with_endpoints=True
+                    )
+                ]
+            )
+
+        moved = matrix([4.0, 6.0, 5.0, 5.0])
+        series = run_intervals(
+            tiny_topology,
+            [matrix([6.0, 4.0, 5.0, 5.0]), moved],
+            MegaTEOptimizer(),
+        )
+        cold = run_intervals(tiny_topology, [moved], MegaTEOptimizer())
+        second, expected = series.records[1], cold.records[0]
+        assert second.runtime_s > 0
+        for name in (
+            "planned_satisfied",
+            "delivered_fraction",
+            "qos1_latency_ms",
+            "max_utilization",
+        ):
+            assert getattr(second, name) == getattr(expected, name)
+
     def test_shape_change_rejected(self, tiny_topology, tiny_demands):
         a = DemandMatrix(
             [make_pair_demands([1.0, 1.0], with_endpoints=True)]

@@ -41,8 +41,6 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.experiments.bench_history import (  # noqa: E402
     SLO_KEYS,
     load_history,
-    record_kind_of,
-    ssp_backend_of,
 )
 
 DEFAULT_HISTORY = REPO / "BENCH_interval_solve.json"
@@ -66,19 +64,9 @@ assert set(TOLERANCES) == set(SLO_KEYS)
 
 
 def check_trajectory(name: str, records: list[dict]) -> list[str]:
-    """Regression messages for one soak config's record sequence.
-
-    The baseline only considers prior records that ran the same FastSSP
-    kernel backend as the fresh one (``ssp_backend_of``; records
-    predating the batched kernel count as ``"scalar"``) — scalar and
-    batched timings are different distributions and must not mix in one
-    median.
-    """
+    """Regression messages for one soak config's record sequence."""
     fresh = records[-1]
-    backend = ssp_backend_of(fresh)
-    priors = [
-        r for r in records[:-1] if ssp_backend_of(r) == backend
-    ][-BASELINE_WINDOW:]
+    priors = records[:-1][-BASELINE_WINDOW:]
     if not priors:
         return []
     failures: list[str] = []
@@ -107,7 +95,7 @@ def check_history(path: Path, config_names: list[str] | None = None):
     history = load_history(path)
     trajectories: dict[str, list[dict]] = {}
     for record in history:
-        if record_kind_of(record) != "soak":
+        if record["kind"] != "soak":
             continue
         trajectories.setdefault(record["config_name"], []).append(record)
     if config_names:

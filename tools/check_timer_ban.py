@@ -7,9 +7,8 @@ enforces this as TID251 where it is installed; this script is the
 zero-dependency equivalent for local runs and CI images without ruff.
 
 Exits non-zero and lists every offending ``file:line`` when a banned
-call site is found.  Allowed locations: ``src/repro/obs/`` (defines the
-clock) and ``benchmarks/`` (A/B timing harnesses that intentionally
-measure around the instrumentation).
+call site is found.  The one allowed location is ``src/repro/obs/``,
+which defines the clock; benchmarks time through it too.
 """
 
 from __future__ import annotations
@@ -21,13 +20,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 #: Directories scanned for violations.
-SCANNED = ("src", "tests", "tools")
+SCANNED = ("src", "tests", "tools", "benchmarks")
 
 #: Path prefixes (relative to the repo root) exempt from the ban.
-ALLOWED_PREFIXES = (
-    "src/repro/obs/",
-    "benchmarks/",
-)
+ALLOWED_PREFIXES = ("src/repro/obs/",)
 
 BANNED = re.compile(r"\bperf_counter\b")
 
@@ -61,7 +57,7 @@ def main() -> int:
         for violation in violations:
             print(f"  {violation}", file=sys.stderr)
         return 1
-    print("timer ban: OK (no raw perf_counter outside obs/benchmarks)")
+    print("timer ban: OK (no raw perf_counter outside obs)")
     return 0
 
 
