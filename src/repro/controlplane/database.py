@@ -182,6 +182,14 @@ class TEDatabase:
         stored = self._data[shard].get(key)
         return stored.version if stored else 0
 
+    def headroom(self, shard: int, now: float) -> int:
+        """Queries ``shard`` can still serve in the second holding ``now``.
+
+        Publishers read it to pace writes under shard capacity.
+        """
+        load = self._second_load[shard].get(int(now), 0)
+        return max(0, self.shard_capacity_qps - load)
+
     # -- shard-addressed API -------------------------------------------------
     #
     # The plain API above routes every key through ``shard_of``.  Wrappers

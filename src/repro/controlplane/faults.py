@@ -438,6 +438,9 @@ class FaultyTEDatabase:
     def stats(self, shard: int) -> ShardStats:
         return self.inner.stats(shard)
 
+    def headroom(self, shard: int, now: float) -> int:
+        return self.inner.headroom(shard, now)
+
     def total_queries(self) -> int:
         return self.inner.total_queries()
 
